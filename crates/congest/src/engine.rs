@@ -1,33 +1,33 @@
-//! The shared round engine behind both executors.
+//! The in-process round engine: automata sharded over threads.
 //!
-//! [`Simulator`](crate::Simulator) (synchronous lockstep) and
-//! [`AlphaSimulator`](crate::AlphaSimulator) (synchronizer α) used to carry
-//! their own copies of the round machinery — context construction, outbox
-//! handling, reverse-port delivery. This module owns that machinery once,
-//! rebuilt around four ideas:
+//! The round semantics — the message arena, the wake-driven schedule,
+//! quiescence fast-forward, fault injection, tracing and the
+//! [`RunReport`] accounting — live once in the shared round core
+//! (`round::RoundCore`), which the socket coordinator of
+//! [`crate::transport`] drives as well. This module owns what is the
+//! engine's alone: the automata, the worker shards of the compute phase,
+//! the packed staging and the destination-sharded merge, and the codec.
 //!
 //! 1. **Wake-driven active sets.** Instead of scanning all `n` automata
-//!    every round, the engine steps only nodes that received a message,
-//!    declared [`Wake::EveryRound`], or whose [`Wake::At`] timer is due.
+//!    every round, the core steps only nodes that received a message,
+//!    declared [`Wake::EveryRound`](crate::Wake::EveryRound), or whose
+//!    [`Wake::At`](crate::Wake::At) timer is due.
 //!    This relies on the [`Protocol`] contract ([`Protocol::next_wake`]):
 //!    between its declared wakes, a node with an empty inbox does nothing.
 //!    When the active fraction exceeds [`EngineConfig::dense_pct`] the
 //!    scheduler falls back to a dense `0..n` scan — cheaper than merging
-//!    near-full lists. [`Scheduling::FullScan`] restores the historical
-//!    scan-everything behaviour; all schedules produce byte-identical runs
-//!    for contract-abiding protocols.
+//!    near-full lists. `with_dense_pct(0).with_fast_forward(false)` steps
+//!    every node every round; all configurations produce byte-identical
+//!    runs for contract-abiding protocols.
 //!
-//! 2. **Quiescence fast-forward.** The engine tracks in-flight message
-//!    copies, ticking nodes, timer wakes (a lazily-invalidated
-//!    [`TimerHeap`] from the shared [`events`](crate::events) core),
-//!    and the fault plan's crash schedule. When no message is queued and
-//!    no node ticks, every round up to the next timer/crash event is
-//!    provably empty — [`RoundEngine::fast_forward`] advances the round
-//!    counter there in O(1). An empty round touches nothing but the
-//!    counter, so all [`RunReport`]/`StallReport` fields stay
-//!    byte-identical to the unskipped execution. (The α executor needs no
-//!    analogue: it is event-driven, so its virtual clock already jumps to
-//!    the next delivery.)
+//! 2. **Quiescence fast-forward.** When no message is queued and no node
+//!    ticks, every round up to the next timer/crash event is provably
+//!    empty — the core advances the round counter there in O(1). An
+//!    empty round touches nothing but the counter, so all
+//!    [`RunReport`]/`StallReport` fields stay byte-identical to the
+//!    unskipped execution. (The α executor needs no analogue: it is
+//!    event-driven, so its virtual clock already jumps to the next
+//!    delivery.)
 //!
 //! 3. **A flat double-buffered message arena with packed staging.**
 //!    Inboxes are CSR-style slots indexed by `(node, port)` — one
@@ -52,13 +52,10 @@
 //!    another worker's arena slice, every `(receiver, port)` slot has
 //!    exactly one writer, and all counters are order-independent sums, so
 //!    a parallel run is **byte-identical** to a single-threaded one: same
-//!    outputs, same [`RunReport`]. (The old design funnelled every round
-//!    through a single sequential merge on the caller's thread, which is
-//!    why `active-set-4t` used to *lose* to 1t: the merge serialised the
-//!    per-message work that dominates dense rounds.) When a fault
-//!    injector or a trace sink needs globally ordered per-message
-//!    effects — the RNG stream, `send` events — the engine falls back to
-//!    that sequential merge, which replays staged sends in ascending
+//!    outputs, same [`RunReport`]. When a fault injector or a trace sink
+//!    needs globally ordered per-message effects — the RNG stream, `send`
+//!    events — the engine falls back to the sequential merge, which
+//!    replays staged sends through the core in ascending
 //!    node order, the exact order the single-threaded loop produces, so
 //!    traced and fault-injected runs remain byte-identical across thread
 //!    counts too. Wire-exact mode (the default) rides the bucketed merge:
@@ -76,8 +73,8 @@
 //!    public API.
 //!
 //! Configuration comes from [`EngineConfig`], which the convenience
-//! runners fill from the environment: `KDOM_THREADS`, `KDOM_SCHED`,
-//! `KDOM_FASTFWD`, `KDOM_DENSE_PCT`, and `KDOM_SHARD_MIN`.
+//! runners fill from the environment: `KDOM_THREADS`, `KDOM_FASTFWD`,
+//! `KDOM_DENSE_PCT`, `KDOM_SHARD_MIN`, and `KDOM_WIRE`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -85,29 +82,29 @@ use std::time::Instant;
 
 use kdom_graph::graph::{Graph, NodeId};
 
-use crate::events::TimerHeap;
 use crate::faults::{apply_churn, ChurnError, ChurnRemap, FaultInjector, FaultPlan};
 use crate::report::RunReport;
-use crate::sim::{Message, NodeCtx, Outbox, Port, Protocol, SimError, StallReport, Wake};
-use crate::trace::{TraceEvent, TraceSink};
+use crate::round::{memory_model, NodeOutcome, RoundCore, Rounds, Slot};
+use crate::sim::{Message, NodeCtx, Outbox, Port, Protocol, SimError, StallReport};
 use crate::wire::CodecScratch;
 
-/// Execution knobs of the round engine: worker threads, scheduling,
-/// fast-forward, and the adaptive thresholds.
+/// The packed-staging capacity in nodes: a staged send's metadata word
+/// holds the sender in 24 bits. Graphs above it are refused up front
+/// (by the engine, and by the service's graph specs).
+pub const MAX_ENGINE_NODES: usize = 1 << 24;
+
+/// Execution knobs of the round engine: worker threads, fast-forward,
+/// and the adaptive thresholds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Worker threads for the compute phase. `1` runs everything inline
     /// on the calling thread (no spawns); higher values shard the active
     /// set. Results are byte-identical either way.
     pub threads: usize,
-    /// Which nodes are stepped each round.
-    pub scheduling: Scheduling,
-    /// Skip provably-empty rounds in O(1) (see [`RoundEngine::fast_forward`]).
-    /// On by default; `KDOM_FASTFWD=0` disables it. No effect under
-    /// [`Scheduling::FullScan`], which promises to step every node every
-    /// round.
+    /// Skip provably-empty rounds in O(1) (see the module docs). On by
+    /// default; `KDOM_FASTFWD=0` disables it.
     pub fast_forward: bool,
-    /// Active-fraction percentage at which [`Scheduling::ActiveSet`] falls
+    /// Active-fraction percentage at which the wake-driven schedule falls
     /// back to a dense `0..n` scan instead of merging near-full lists.
     /// `0` forces the dense scan every round; values above 300 can never
     /// trigger (the merged estimate counts each node at most thrice).
@@ -141,7 +138,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             threads: 1,
-            scheduling: Scheduling::ActiveSet,
             fast_forward: true,
             dense_pct: 75,
             shard_min: 1024,
@@ -156,9 +152,6 @@ impl EngineConfig {
     /// Reads the configuration from the environment:
     ///
     /// - `KDOM_THREADS`: worker count in `1..=256`;
-    /// - `KDOM_SCHED`: `full`/`full-scan`/`fullscan` for
-    ///   [`Scheduling::FullScan`], `active`/`active-set`/`activeset` for
-    ///   [`Scheduling::ActiveSet`] (the default when unset);
     /// - `KDOM_FASTFWD`: `0`/`off`/`false`/`no` disables fast-forward,
     ///   `1`/`on`/`true`/`yes` keeps it on (the default when unset);
     /// - `KDOM_DENSE_PCT`: dense-scan fallback threshold in `0..=300`
@@ -186,17 +179,6 @@ impl EngineConfig {
                 Err("worker count must be in 1..=256".into())
             }
         });
-        let scheduling = knob_enum(
-            "KDOM_SCHED",
-            Scheduling::ActiveSet,
-            &[
-                (&["full", "full-scan", "fullscan"], Scheduling::FullScan),
-                (
-                    &["active", "active-set", "activeset"],
-                    Scheduling::ActiveSet,
-                ),
-            ],
-        );
         let fast_forward = knob_enum(
             "KDOM_FASTFWD",
             true,
@@ -229,7 +211,6 @@ impl EngineConfig {
         );
         EngineConfig {
             threads,
-            scheduling,
             fast_forward,
             dense_pct,
             shard_min,
@@ -242,12 +223,6 @@ impl EngineConfig {
     /// Returns the config with the worker count replaced.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Returns the config with the scheduling policy replaced.
-    pub fn with_scheduling(mut self, scheduling: Scheduling) -> Self {
-        self.scheduling = scheduling;
         self
     }
 
@@ -286,18 +261,6 @@ impl EngineConfig {
         self.codec_profile = on;
         self
     }
-}
-
-/// Node-scheduling policy of the engine.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Scheduling {
-    /// Step every automaton every round (the historical behaviour).
-    FullScan,
-    /// Step only automata that received a message or whose declared
-    /// [`Wake`] is due, with a dense-scan fallback above
-    /// [`EngineConfig::dense_pct`].
-    #[default]
-    ActiveSet,
 }
 
 /// Precomputes, for every `(node, port)`, the port the same edge occupies
@@ -360,11 +323,6 @@ pub(crate) fn fan_out<T: Clone, E>(tags: Vec<E>, item: T, mut deliver: impl FnMu
     }
 }
 
-/// One arena slot: the message queued on an edge direction plus the
-/// number of identical copies the fault injector delivered — duplicates
-/// are refcounted here, not deep-cloned.
-type Slot<M> = Option<(M, u32)>;
-
 /// Width of the packed `size_bits` field in a staged-send metadata word.
 /// The maximum value doubles as a "recompute at merge" sentinel for the
 /// rare message wider than 2^20 - 1 bits.
@@ -401,21 +359,30 @@ impl<M> Exchange<M> {
     }
 }
 
-/// What a stepped node needs next, recorded by the compute phase and
-/// applied to the schedule by the sequential merge.
-#[derive(Clone, Copy, Debug)]
-enum NodeOutcome {
-    /// Crashed: never scheduled by timer again (arrivals still reach it,
-    /// and are lost there).
-    Crashed,
-    /// `is_done()`: unscheduled until a message arrives.
-    Done,
-    /// Not done and ticking: step it next round.
-    Tick,
-    /// Not done, acts only on messages.
-    Sleep,
-    /// Not done, timer-armed for the given future round (> now + 1).
-    Park(u64),
+/// A reused wire codec plus its wall-clock profile (accumulated only
+/// under [`EngineConfig::codec_profile`]).
+#[derive(Default)]
+struct Codec {
+    scratch: CodecScratch,
+    /// Nanoseconds spent in round trips.
+    ns: u64,
+    /// Round trips performed.
+    msgs: u64,
+}
+
+impl Codec {
+    /// Runs one round trip through the scratch, timing it when
+    /// `profile` is set.
+    #[inline]
+    fn timed<T>(&mut self, profile: bool, trip: impl FnOnce(&mut CodecScratch) -> T) -> T {
+        let t0 = profile.then(Instant::now);
+        let out = trip(&mut self.scratch);
+        if let Some(t0) = t0 {
+            self.ns += t0.elapsed().as_nanos() as u64;
+            self.msgs += 1;
+        }
+        out
+    }
 }
 
 /// Per-worker reusable state: the materialised inbox, the pooled outbox
@@ -457,18 +424,13 @@ struct WorkerScratch<M> {
     /// node order (checked during compute so delivery can't index with
     /// a missing reverse port).
     broken: Option<(u32, Port)>,
-    /// Reused wire-codec buffers for wire-exact round trips; staging
+    /// Reused wire-codec buffers for staging-time transcodes; staging
     /// allocates nothing per frame.
-    codec: CodecScratch,
+    codec: Codec,
     /// Bucketed wire-exact: a round trip failed in this shard. The
     /// sequential fallback replays every frame in global order so the
     /// mismatch surfaces at its exact sequential position.
     wire_bad: bool,
-    /// Nanoseconds this shard spent in codec round trips (only
-    /// accumulated under [`EngineConfig::codec_profile`]).
-    codec_ns: u64,
-    /// Round trips this shard performed (only under profiling).
-    codec_msgs: u64,
 }
 
 impl<M> Default for WorkerScratch<M> {
@@ -489,10 +451,8 @@ impl<M> Default for WorkerScratch<M> {
             max_bits: 0,
             delivered: 0,
             broken: None,
-            codec: CodecScratch::new(),
+            codec: Codec::default(),
             wire_bad: false,
-            codec_ns: 0,
-            codec_msgs: 0,
         }
     }
 }
@@ -502,11 +462,6 @@ impl<M> Default for WorkerScratch<M> {
 /// inbox arena; `node_base`/`slot_base` translate global indices into
 /// them. Purely local: all cross-node effects are staged in `scratch`.
 ///
-/// With `track_wakes` false (full-scan, which steps everyone anyway)
-/// the per-node [`Protocol::next_wake`] query is skipped and `sched`
-/// records only done-status *transitions* against the read-only
-/// `done_flag` snapshot, keeping the sequential schedule merge O(changes)
-/// instead of O(active).
 /// With `bucketed` true (the destination-sharded merge) sends go into
 /// `scratch.buckets`, keyed by which entry of `dest_bounds` — the
 /// destination shards' node-range boundaries, `len = shards + 1` —
@@ -534,8 +489,6 @@ fn run_shard<P: Protocol>(
     bit_budget: Option<u64>,
     wire_exact: bool,
     codec_profile: bool,
-    track_wakes: bool,
-    done_flag: &[bool],
     active: &[u32],
     node_base: usize,
     nodes: &mut [P],
@@ -580,9 +533,7 @@ fn run_shard<P: Protocol>(
                     scratch.crash_lost += u64::from(copies);
                 }
             }
-            if track_wakes {
-                scratch.sched.push((v32, NodeOutcome::Crashed));
-            }
+            scratch.sched.push((v32, NodeOutcome::Crashed));
             continue;
         }
         scratch.inbox.clear();
@@ -618,13 +569,7 @@ fn run_shard<P: Protocol>(
                 // doubles as the accounting pass — no separate
                 // `size_bits` walk on this path.
                 let (msg, bits) = if wire_exact {
-                    let t0 = codec_profile.then(Instant::now);
-                    let tripped = scratch.codec.transcode(&msg);
-                    if let Some(t0) = t0 {
-                        scratch.codec_ns += t0.elapsed().as_nanos() as u64;
-                        scratch.codec_msgs += 1;
-                    }
-                    match tripped {
+                    match scratch.codec.timed(codec_profile, |c| c.transcode(&msg)) {
                         Ok(pair) => pair,
                         Err(_) => {
                             // stage the original: the sequential
@@ -667,134 +612,101 @@ fn run_shard<P: Protocol>(
                 }
             }
         }
-        let now_done = node.is_done();
-        if track_wakes {
-            let outcome = if now_done {
-                NodeOutcome::Done
-            } else {
-                match node.next_wake(round) {
-                    Wake::EveryRound => NodeOutcome::Tick,
-                    Wake::OnMessage => NodeOutcome::Sleep,
-                    Wake::At(r) if r > round + 1 => NodeOutcome::Park(r),
-                    Wake::At(_) => NodeOutcome::Tick,
-                }
-            };
-            scratch.sched.push((v32, outcome));
-        } else if now_done != done_flag[v] {
-            let outcome = if now_done {
-                NodeOutcome::Done
-            } else {
-                NodeOutcome::Tick // un-done: re-count toward quiescence
-            };
-            scratch.sched.push((v32, outcome));
-        }
+        scratch.sched.push((v32, NodeOutcome::of(node, round)));
     }
 }
 
-/// The engine proper: owns the automata, the arena, the schedule
-/// bookkeeping, and the accounting shared by every execution mode.
+/// Delivers packed staged sends through the core in the given order,
+/// reading each send's bit count from its metadata word and — when
+/// `wire_exact` — delivering the round-tripped frame instead of the
+/// staged message. Sends from the `cut_node` on are skipped (see
+/// [`RoundCore::end_delivery`]).
+fn replay_packed<M: Message>(
+    core: &mut RoundCore<'_, M>,
+    codec: &mut Codec,
+    staged: impl Iterator<Item = (u64, M)>,
+    cut_node: u32,
+    wire_exact: bool,
+) -> Result<(), SimError> {
+    let profile = core.config.codec_profile;
+    for (meta, msg) in staged {
+        let v = (meta >> 40) as u32;
+        if v >= cut_node {
+            continue;
+        }
+        let p = ((meta >> 20) & 0xF_FFFF) as u32;
+        let field = meta & META_BITS;
+        let bits = if field == META_BITS {
+            msg.size_bits() // wider than the packed field
+        } else {
+            field
+        };
+        debug_assert_eq!(bits, msg.size_bits(), "packed word out of sync");
+        // Wire-exact: what continues from here is the *decoded* frame, so
+        // the receiving automaton provably depends only on the bits on
+        // the wire.
+        let msg = if wire_exact {
+            match codec.timed(profile, |c| c.round_trip(&msg)) {
+                Ok(decoded) => decoded,
+                Err(detail) => return Err(core.wire_mismatch(v, p, detail)),
+            }
+        } else {
+            msg
+        };
+        core.deliver(v, p, bits, msg)?;
+    }
+    Ok(())
+}
+
+/// The first CONGEST violation over all shards, by node order.
+fn first_violation<M>(scratch: &[WorkerScratch<M>]) -> Option<(u32, u32)> {
+    scratch
+        .iter()
+        .filter_map(|s| s.violation)
+        .min_by_key(|&(v, _)| v)
+        .map(|(v, p)| (v, p.0 as u32))
+}
+
+/// The engine proper: the automata and the compute phase over a
+/// [`RoundCore`].
 pub(crate) struct RoundEngine<'g, P: Protocol> {
-    graph: &'g Graph,
-    config: EngineConfig,
+    pub(crate) core: RoundCore<'g, P::Msg>,
     nodes: Vec<P>,
     /// Application-level node ids, hoisted out of the round loop.
     ids: Vec<u64>,
-    /// `rev_port[off[v] + p]`: the port of the edge `(v, p)` at its
-    /// other endpoint, flattened CSR-style so delivery is O(1) per
-    /// message with no nested indirection. `usize::MAX` marks a
-    /// corrupted, asymmetric topology.
-    rev_port: Vec<usize>,
-    /// CSR offsets: node `v`'s arena slots are `off[v]..off[v + 1]`.
-    off: Vec<usize>,
-    /// Arena being consumed this round (last round's deliveries).
-    inbox: Vec<Slot<P::Msg>>,
-    /// Arena receiving this round's sends (next round's inbox).
-    pending: Vec<Slot<P::Msg>>,
-    /// Message copies queued in `pending`.
-    pending_count: u64,
-    /// Epoch stamps marking nodes already in `receivers` this round.
-    recv_mark: Vec<u64>,
-    /// Nodes with queued messages in `pending`, in delivery order
-    /// (sorted on demand when the active list is merged).
-    receivers: Vec<u32>,
-    /// Not-done nodes that asked to tick next round, sorted.
-    ticking: Vec<u32>,
-    /// Per-node one-shot timers: the authoritative `wake_at` table plus
-    /// the lazily-invalidated parked heap, both owned by the shared
-    /// event core (see [`crate::events`]).
-    timers: TimerHeap,
-    /// Scratch: valid timers due this round.
-    due: Vec<u32>,
-    /// Scratch for the three-way active-list merge.
-    merged: Vec<u32>,
-    /// Scratch for the current round's active list.
-    active: Vec<u32>,
-    /// `!is_done()` per node, as of its last execution.
-    done_flag: Vec<bool>,
-    /// Count of not-done nodes not yet excused by a crash — quiescence
-    /// in O(1).
-    live_undone: usize,
-    /// The fault plan's crash schedule, sorted by `(round, node)`, with
-    /// a cursor over the events already applied to `live_undone`.
-    crash_events: Vec<(u64, u32)>,
-    crash_cursor: usize,
     scratch: Vec<WorkerScratch<P::Msg>>,
-    /// The first step visits every node regardless of schedule, matching
-    /// the historical round-0 behaviour.
-    first_step: bool,
-    round: u64,
-    report: RunReport,
-    injector: Option<FaultInjector>,
-    last_activity: u64,
-    /// Messages lost in the inboxes of crashed nodes (counted separately
-    /// from the injector's link-level drops).
-    crash_lost: u64,
-    /// Evidence stream; `None` (the default) makes every emission site a
-    /// single never-taken branch.
-    trace: Option<Box<dyn TraceSink>>,
-    /// Fast-forward jumps taken so far (kept even without a sink — the
-    /// bench harness surfaces them).
-    ff_jumps: u64,
-    /// Rounds skipped by fast-forward so far.
-    ff_skipped: u64,
-    /// Fixed memory footprint in bytes (graph CSR, double-buffered
-    /// arenas, tables, automata), computed once at construction from
-    /// logical lengths and type sizes — deterministic across thread
-    /// counts and schedulers.
-    fixed_mem: u64,
-    /// Sends staged in the last executed round (all shards), feeding the
-    /// peak-memory high-water mark.
-    round_staged: u64,
     /// Node-range boundaries of the destination shards for the bucketed
     /// merge (`len = shards + 1`), rebuilt each sharded round.
     dest_bounds: Vec<u32>,
     /// Persistent cross-worker channels for the bucketed merge, created
     /// on the first multi-shard round.
     exchange: Option<Exchange<P::Msg>>,
-    /// Reused wire-codec buffers for the sequential merge's wire-exact
-    /// round trips (workers carry their own in [`WorkerScratch`]).
-    codec: CodecScratch,
-    /// Codec nanoseconds spent in the sequential merge (profiling only;
-    /// worker shards accumulate theirs in scratch).
-    codec_ns: u64,
-    /// Codec round trips performed in the sequential merge (profiling
-    /// only).
-    codec_msgs: u64,
+    /// The sequential merge's codec (workers carry their own in
+    /// [`WorkerScratch`]).
+    codec: Codec,
+}
+
+impl<'g, P: Protocol> Rounds<'g> for RoundEngine<'g, P> {
+    type Payload = P::Msg;
+
+    fn core(&mut self) -> &mut RoundCore<'g, P::Msg> {
+        &mut self.core
+    }
+
+    fn execute_round(&mut self) -> Result<(), SimError> {
+        self.step()
+    }
 }
 
 impl<'g, P: Protocol> RoundEngine<'g, P> {
-    /// Bytes one staged send occupies: the packed metadata word plus its
-    /// message slab slot. Defined from type sizes so the peak-memory
-    /// figure is identical whichever merge path ran.
-    const STAGED_BYTES: u64 = 8 + std::mem::size_of::<P::Msg>() as u64;
-
-    /// Creates an engine with one automaton per node.
+    /// Creates an engine with one automaton per node and attaches the
+    /// environment's trace sink.
     ///
     /// # Panics
     ///
     /// Panics if `nodes.len() != graph.node_count()`, if the graph
-    /// exceeds the packed-metadata capacity (2^24 nodes, 2^20 ports per
-    /// node), or if a node starts beyond a scheduled crash.
+    /// exceeds the packed-metadata capacity ([`MAX_ENGINE_NODES`] nodes,
+    /// 2^20 ports per node), or if a node starts beyond a scheduled crash.
     pub fn new(
         graph: &'g Graph,
         nodes: Vec<P>,
@@ -806,124 +718,18 @@ impl<'g, P: Protocol> RoundEngine<'g, P> {
             graph.node_count(),
             "one automaton per node required"
         );
-        let n = graph.node_count();
-        assert!(n <= 1 << 24, "packed staging supports up to 2^24 nodes");
-        let ids: Vec<u64> = (0..n).map(|v| graph.id_of(NodeId(v))).collect();
-        let mut off = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        off.push(0);
-        for v in 0..n {
-            let deg = graph.degree(NodeId(v));
-            assert!(deg < 1 << 20, "packed staging supports degrees below 2^20");
-            acc += deg;
-            off.push(acc);
-        }
-        let mut rev_port = vec![usize::MAX; acc];
-        for v in 0..n {
-            for (p, arc) in graph.neighbors(NodeId(v)).iter().enumerate() {
-                if let Some(rp) = graph
-                    .neighbors(arc.to)
-                    .iter()
-                    .position(|a| a.edge == arc.edge)
-                {
-                    rev_port[off[v] + p] = rp;
-                }
-            }
-        }
-        // The run's fixed footprint, from logical lengths and type sizes
-        // (not allocator capacities, which scheduling could perturb): the
-        // graph CSR, the ids, the offset and reverse-port tables, both
-        // message arenas, the per-node schedule state (wake_at 8 +
-        // recv_mark 8 + done_flag 1 bytes), and the automata themselves.
-        let usize_b = std::mem::size_of::<usize>() as u64;
-        let fixed_mem = graph.memory_bytes()
-            + (n as u64) * 8
-            + ((n + 1) as u64 + acc as u64) * usize_b
-            + 2 * (acc as u64) * std::mem::size_of::<Slot<P::Msg>>() as u64
-            + (n as u64) * 17
-            + (n as u64) * std::mem::size_of::<P>() as u64;
-        let done_flag: Vec<bool> = nodes.iter().map(Protocol::is_done).collect();
-        let live_undone = done_flag.iter().filter(|&&d| !d).count();
-        let crash_events = injector
-            .as_ref()
-            .map(FaultInjector::crash_schedule)
-            .unwrap_or_default();
-        let mut engine = RoundEngine {
-            graph,
-            config,
+        let done_flag = nodes.iter().map(Protocol::is_done).collect();
+        let mut core = RoundCore::new(graph, config, done_flag, injector, memory_model::<P>(graph));
+        core.attach_trace(crate::trace::from_env());
+        RoundEngine {
+            core,
+            ids: graph.nodes().map(|v| graph.id_of(v)).collect(),
             nodes,
-            ids,
-            rev_port,
-            off,
-            inbox: (0..acc).map(|_| None).collect(),
-            pending: (0..acc).map(|_| None).collect(),
-            pending_count: 0,
-            recv_mark: vec![0; n],
-            receivers: Vec::new(),
-            ticking: Vec::new(),
-            timers: TimerHeap::new(n),
-            due: Vec::new(),
-            merged: Vec::new(),
-            active: Vec::new(),
-            done_flag,
-            live_undone,
-            crash_events,
-            crash_cursor: 0,
             scratch: Vec::new(),
-            first_step: true,
-            round: 0,
-            report: RunReport {
-                peak_memory_bytes: fixed_mem,
-                ..RunReport::default()
-            },
-            injector,
-            last_activity: 0,
-            crash_lost: 0,
-            trace: None,
-            ff_jumps: 0,
-            ff_skipped: 0,
-            fixed_mem,
-            round_staged: 0,
             dest_bounds: Vec::new(),
             exchange: None,
-            codec: CodecScratch::new(),
-            codec_ns: 0,
-            codec_msgs: 0,
-        };
-        engine.advance_crash_epoch();
-        engine.attach_trace(crate::trace::from_env());
-        engine
-    }
-
-    /// Attaches an evidence sink and announces the run to it; `None` is
-    /// a no-op (the environment default when `KDOM_TRACE` is unset).
-    pub fn attach_trace(&mut self, sink: Option<Box<dyn TraceSink>>) {
-        if let Some(mut t) = sink {
-            t.event(&TraceEvent::RunStart {
-                mode: "sync",
-                nodes: self.graph.node_count(),
-                edges: self.graph.edge_count(),
-                bit_budget: self.config.bit_budget,
-                fixed_mem: Some(self.fixed_mem),
-            });
-            self.trace = Some(t);
+            codec: Codec::default(),
         }
-    }
-
-    /// Emits the final report to the trace stream and flushes it; called
-    /// by the simulator when a run reaches quiescence.
-    pub fn trace_run_end(&mut self) {
-        if let Some(t) = self.trace.as_mut() {
-            t.event(&TraceEvent::RunEnd {
-                report: &self.report,
-            });
-            t.flush();
-        }
-    }
-
-    /// `(jumps, skipped_rounds)` taken by quiescence fast-forward so far.
-    pub fn fast_forward_stats(&self) -> (u64, u64) {
-        (self.ff_jumps, self.ff_skipped)
     }
 
     /// `(nanoseconds, round_trips)` spent in the wire codec so far,
@@ -931,11 +737,11 @@ impl<'g, P: Protocol> RoundEngine<'g, P> {
     /// zeros unless [`EngineConfig::codec_profile`] is set (and then
     /// only wire-exact runs pay codec time).
     pub fn codec_stats(&self) -> (u64, u64) {
-        let mut ns = self.codec_ns;
-        let mut msgs = self.codec_msgs;
+        let mut ns = self.codec.ns;
+        let mut msgs = self.codec.msgs;
         for s in &self.scratch {
-            ns += s.codec_ns;
-            msgs += s.codec_msgs;
+            ns += s.codec.ns;
+            msgs += s.codec.msgs;
         }
         (ns, msgs)
     }
@@ -945,277 +751,70 @@ impl<'g, P: Protocol> RoundEngine<'g, P> {
     }
 
     pub fn into_parts(self) -> (Vec<P>, RunReport) {
-        (self.nodes, self.report)
+        (self.nodes, self.core.report)
     }
 
-    pub fn report(&self) -> &RunReport {
-        &self.report
-    }
-
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// Whether every surviving node is done and no messages are queued.
-    /// Crash excuses are evaluated at the *current* round (the crash
-    /// cursor is advanced with it), so a node scheduled to crash later
-    /// still counts as unfinished now.
-    pub fn quiescent(&self) -> bool {
-        self.pending_count == 0 && self.live_undone == 0
-    }
-
-    /// Applies every crash event scheduled at or before the current
-    /// round: an unfinished node that crashes stops counting toward
-    /// quiescence, and its timer (if any) is cancelled.
-    fn advance_crash_epoch(&mut self) {
-        while let Some(&(at, v)) = self.crash_events.get(self.crash_cursor) {
-            if at > self.round {
-                break;
-            }
-            self.crash_cursor += 1;
-            if !self.done_flag[v as usize] {
-                self.live_undone -= 1;
-            }
-            self.timers.cancel(v);
-        }
-    }
-
-    /// Skips ahead over provably-empty rounds: when nothing is queued and
-    /// no node ticks, every round before the next due timer, the next
-    /// scheduled crash, or `limit` executes nothing — advance the round
-    /// counter (and nothing else) straight there. A skipped round is
-    /// byte-identical to stepping it: an empty step only increments the
-    /// counter, so every report field, the fault-injector RNG, and all
-    /// node states are untouched either way.
-    ///
-    /// No-ops under [`Scheduling::FullScan`] (which must step everyone),
-    /// before the first step, or when disabled via the config.
-    pub fn fast_forward(&mut self, limit: u64) {
-        if !self.config.fast_forward
-            || self.config.scheduling == Scheduling::FullScan
-            || self.first_step
-            || self.pending_count != 0
-            || !self.ticking.is_empty()
-        {
-            return;
-        }
-        let mut target = limit;
-        if let Some(wake) = self.timers.next_valid() {
-            if wake <= self.round {
-                return; // a timer is due: the next step is a real one
-            }
-            target = target.min(wake);
-        }
-        if let Some(&(at, _)) = self.crash_events.get(self.crash_cursor) {
-            target = target.min(at);
-        }
-        if target <= self.round {
-            return;
-        }
-        if let Some(t) = self.trace.as_mut() {
-            t.event(&TraceEvent::FastForward {
-                from: self.round,
-                to: target,
-            });
-        }
-        self.ff_jumps += 1;
-        self.ff_skipped += target - self.round;
-        self.round = target;
-        self.report.rounds = target;
-        self.advance_crash_epoch();
-    }
-
-    /// Snapshot of who is stuck: unfinished survivors, per-node queued
-    /// message counts (copies included, read straight from the arena),
-    /// and crash context.
-    pub fn stall_report(&self) -> StallReport {
-        let round = self.round;
-        let is_crashed = |v: usize| {
-            self.injector
-                .as_ref()
-                .is_some_and(|inj| inj.is_crashed(NodeId(v), round))
-        };
-        let mut pending: Vec<(NodeId, usize)> = self
-            .receivers
-            .iter()
-            .map(|&v| (NodeId(v as usize), self.queued_at(v as usize)))
-            .filter(|&(_, depth)| depth > 0)
-            .collect();
-        pending.sort_unstable_by_key(|&(v, _)| v.0);
-        StallReport {
-            not_done: (0..self.nodes.len())
-                .filter(|&v| !self.done_flag[v] && !is_crashed(v))
-                .map(NodeId)
-                .collect(),
-            pending,
-            last_activity: self.last_activity,
-            crashed: (0..self.nodes.len())
-                .filter(|&v| is_crashed(v))
-                .map(NodeId)
-                .collect(),
-            live: (0..self.nodes.len())
-                .filter(|&v| !is_crashed(v))
-                .map(NodeId)
-                .collect(),
-            stopped_at: round,
-        }
-    }
-
-    /// Runs until quiescence or until the round counter reaches the
-    /// `boundary` (whichever comes first), returning whether the engine
-    /// is quiescent. This is the epoch driver's primitive: a churn epoch
-    /// scheduled at round `r` cuts the run at exactly `r`, whatever the
-    /// protocol was doing — fast-forward is bounded by the boundary so a
-    /// jump never overshoots it.
+    /// Executes a single round: opens it on the core, steps the active
+    /// automata (sharded across workers when configured), merges the
+    /// staged sends, and folds the outcomes into the schedule.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::RoundLimitExceeded`] if `limit` rounds elapse
-    /// before either the boundary or quiescence, and propagates every
-    /// error of [`RoundEngine::step`].
-    pub fn run_to(&mut self, boundary: u64, limit: u64) -> Result<bool, SimError> {
-        loop {
-            if self.quiescent() {
-                return Ok(true);
-            }
-            self.fast_forward(boundary.min(limit));
-            if self.quiescent() {
-                return Ok(true);
-            }
-            if self.round >= boundary {
-                return Ok(false);
-            }
-            if self.round >= limit {
-                return Err(SimError::RoundLimitExceeded {
-                    limit,
-                    stall: self.stall_report(),
-                });
-            }
-            self.step()?;
-        }
-    }
-
-    /// Message copies queued for `v` in the pending arena.
-    fn queued_at(&self, v: usize) -> usize {
-        self.pending[self.off[v]..self.off[v + 1]]
-            .iter()
-            .filter_map(|s| s.as_ref().map(|&(_, copies)| copies as usize))
-            .sum()
-    }
-
-    /// Rebuilds the per-node pending queues in the legacy
-    /// `Vec<Vec<(Port, Msg)>>` shape (sorted by port, duplicates
-    /// adjacent) for invariant checks. Allocates; only called when
-    /// invariants are registered.
-    pub fn materialize_pending(&self) -> Vec<Vec<(Port, P::Msg)>> {
-        (0..self.nodes.len())
-            .map(|v| {
-                let mut queue = Vec::new();
-                for (p, slot) in self.pending[self.off[v]..self.off[v + 1]]
-                    .iter()
-                    .enumerate()
-                {
-                    if let Some((msg, copies)) = slot {
-                        for _ in 0..*copies {
-                            queue.push((Port(p), msg.clone()));
-                        }
-                    }
-                }
-                queue
-            })
-            .collect()
-    }
-
-    /// Executes a single round: delivers queued messages, steps the
-    /// scheduled automata (sharded across workers when configured), and
-    /// merges the staged sends in node order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::CongestViolation`] on a double send and
-    /// [`SimError::BrokenTopology`] on an asymmetric adjacency list.
+    /// Returns [`SimError::CongestViolation`] on a double send,
+    /// [`SimError::BrokenTopology`] on an asymmetric adjacency list, and
+    /// [`SimError::WireMismatch`] on a failed wire-exact round trip.
     pub fn step(&mut self) -> Result<(), SimError> {
-        let n = self.graph.node_count();
-        if let Some(t) = self.trace.as_mut() {
-            t.event(&TraceEvent::Round { round: self.round });
-        }
-        // the drained inbox arena becomes the next pending buffer:
-        // zero allocation per round
-        std::mem::swap(&mut self.inbox, &mut self.pending);
-        self.pending_count = 0;
-
-        // pop timers due this round: the event core discards stale
-        // entries (superseded wakes) and returns the valid ones sorted
-        // and deduplicated — see `TimerHeap::pop_due` for why the dedup
-        // is load-bearing (the PR 3 double-step class)
-        self.timers.pop_due(self.round, &mut self.due);
-
-        self.active.clear();
-        let estimate = self.ticking.len() + self.due.len() + self.receivers.len();
-        if self.first_step
-            || self.config.scheduling == Scheduling::FullScan
-            || estimate * 100 >= n.saturating_mul(self.config.dense_pct)
-        {
-            // dense fallback: when most nodes are active anyway, the
-            // 0..n scan beats merging near-full sorted lists
-            self.active.extend(0..n as u32);
-        } else {
-            self.receivers.sort_unstable();
-            self.merged.clear();
-            merge_sorted_dedup(&self.ticking, &self.due, &mut self.merged);
-            merge_sorted_dedup(&self.merged, &self.receivers, &mut self.active);
-        }
-        self.first_step = false;
-        self.receivers.clear();
+        self.core.begin_round();
+        let n = self.core.graph.node_count();
+        let config = self.core.config;
+        // A fault injector (RNG stream) and a trace sink (send events)
+        // demand the sequential replay order.
+        let ordered = self.core.injector.is_some() || self.core.trace.is_some();
 
         // Shard count: `per` from the configured ceiling, then the *true*
         // chunk count — div_ceil can produce fewer non-empty chunks than
         // the first estimate, and iterating stale scratch for the missing
         // chunks would double-count its previous round's state.
-        let shards0 = self
-            .config
+        let active_len = self.core.active.len();
+        let shards0 = config
             .threads
-            .min(self.active.len() / self.config.shard_min.max(1))
+            .min(active_len / config.shard_min.max(1))
             .max(1);
-        let per = self.active.len().div_ceil(shards0).max(1);
-        let shards = self.active.len().div_ceil(per).max(1);
+        let per = active_len.div_ceil(shards0).max(1);
+        let shards = active_len.div_ceil(per).max(1);
         if self.scratch.len() < shards {
             self.scratch.resize_with(shards, WorkerScratch::default);
         }
 
-        let track_wakes = self.config.scheduling == Scheduling::ActiveSet;
-        let round_msgs;
         if shards == 1 {
+            let core = &mut self.core;
             run_shard(
-                self.graph,
+                core.graph,
                 &self.ids,
-                &self.off,
-                &self.rev_port,
-                self.injector.as_ref(),
-                self.round,
-                self.config.bit_budget,
-                self.config.wire_exact && self.injector.is_none() && self.trace.is_none(),
-                self.config.codec_profile,
-                track_wakes,
-                &self.done_flag,
-                &self.active,
+                &core.off,
+                &core.rev_port,
+                core.injector.as_ref(),
+                core.round,
+                config.bit_budget,
+                config.wire_exact && !ordered,
+                config.codec_profile,
+                &core.active,
                 0,
                 &mut self.nodes,
                 0,
-                &mut self.inbox,
+                &mut core.inbox,
                 false,
                 &[],
                 &mut self.scratch[0],
             );
-            round_msgs = self.merge_staged(1)?;
+            self.merge_staged(1)?;
         } else {
             // The destination-sharded merge needs per-message effects to
-            // be order-free; a fault injector (RNG stream) and a trace
-            // sink (send events) demand the sequential replay order, so
-            // they take the sequential merge. Wire-exact verification is
-            // per-message-local and rides the bucketed path: workers
-            // round-trip their own frames at staging time.
-            let bucketed = self.injector.is_none() && self.trace.is_none();
+            // be order-free. Wire-exact verification is per-message-local
+            // and rides it: workers round-trip their own frames at
+            // staging time.
+            let bucketed = !ordered;
+            let core = &mut self.core;
             self.dest_bounds.clear();
             if bucketed {
                 // Worker s owns delivery for nodes [bounds[s], bounds[s+1]):
@@ -1223,34 +822,32 @@ impl<'g, P: Protocol> RoundEngine<'g, P> {
                 // the tiles cover 0..n contiguously.
                 self.dest_bounds.push(0);
                 for s in 1..shards {
-                    self.dest_bounds.push(self.active[s * per]);
+                    self.dest_bounds.push(core.active[s * per]);
                 }
                 self.dest_bounds.push(n as u32);
                 if self.exchange.is_none() {
-                    self.exchange = Some(Exchange::new(self.config.threads));
+                    self.exchange = Some(Exchange::new(config.threads));
                 }
             }
-            let graph = self.graph;
+            let graph = core.graph;
             let ids = &self.ids;
-            let off = &self.off;
-            let rev_port = &self.rev_port;
-            let injector = self.injector.as_ref();
-            let round = self.round;
+            let off = &core.off;
+            let rev_port = &core.rev_port;
+            let injector = core.injector.as_ref();
+            let round = core.round;
             let epoch = round + 1;
-            let bit_budget = self.config.bit_budget;
+            let (bit_budget, codec_profile) = (config.bit_budget, config.codec_profile);
             // staging-time transcode needs no injector/trace attached —
             // exactly the bucketed-eligibility condition
-            let wire_exact = self.config.wire_exact && bucketed;
-            let codec_profile = self.config.codec_profile;
-            let done_flag = &self.done_flag;
-            let active = &self.active;
+            let wire_exact = config.wire_exact && bucketed;
+            let active = &core.active;
             let dest_bounds = &self.dest_bounds;
             let fallback = AtomicBool::new(false);
             let fallback_ref = &fallback;
             let mut nodes_tail: &mut [P] = &mut self.nodes;
-            let mut slots_tail: &mut [Slot<P::Msg>] = &mut self.inbox;
-            let mut pend_tail: &mut [Slot<P::Msg>] = &mut self.pending;
-            let mut mark_tail: &mut [u64] = &mut self.recv_mark;
+            let mut slots_tail: &mut [Slot<P::Msg>] = &mut core.inbox;
+            let mut pend_tail: &mut [Slot<P::Msg>] = &mut core.pending;
+            let mut mark_tail: &mut [u64] = &mut core.recv_mark;
             let mut nodes_cut = 0usize;
             let mut slots_cut = 0usize;
             let mut scratch_iter = self.scratch.iter_mut();
@@ -1306,8 +903,6 @@ impl<'g, P: Protocol> RoundEngine<'g, P> {
                             bit_budget,
                             wire_exact,
                             codec_profile,
-                            track_wakes,
-                            done_flag,
                             chunk,
                             node_lo,
                             shard_nodes,
@@ -1389,276 +984,63 @@ impl<'g, P: Protocol> RoundEngine<'g, P> {
                     }
                 }
             });
-            if bucketed {
-                if fallback.into_inner() {
-                    return Err(self.merge_bucketed_fallback(shards));
-                }
-                let mut sent = 0u64;
-                let mut bits = 0u64;
-                let mut max_bits = 0u64;
-                let mut delivered = 0u64;
-                for s in &self.scratch[..shards] {
+            if !bucketed {
+                self.merge_staged(shards)?;
+            } else if fallback.into_inner() {
+                return Err(self.merge_bucketed_fallback(shards));
+            } else {
+                let (mut sent, mut bits, mut max_bits, mut delivered) = (0, 0, 0, 0);
+                for s in &mut self.scratch[..shards] {
                     sent += s.sent_msgs;
                     bits += s.sent_bits;
                     max_bits = max_bits.max(s.max_bits);
                     delivered += s.delivered;
-                }
-                self.report.messages += sent;
-                self.report.total_bits += bits;
-                self.report.max_message_bits = self.report.max_message_bits.max(max_bits);
-                self.pending_count += delivered;
-                let RoundEngine {
-                    receivers, scratch, ..
-                } = self;
-                for s in &mut scratch[..shards] {
                     // order differs from the sequential merge, but the
                     // list is sorted before every use
-                    receivers.extend_from_slice(&s.dest_receivers);
+                    self.core.receivers.extend_from_slice(&s.dest_receivers);
                     s.dest_receivers.clear();
                 }
-                self.round_staged = sent;
-                round_msgs = sent;
-            } else {
-                round_msgs = self.merge_staged(shards)?;
+                self.core.account_parallel(sent, bits, max_bits, delivered);
             }
         }
-        self.apply_schedule(shards);
-        self.report.peak_memory_bytes = self
-            .report
-            .peak_memory_bytes
-            .max(self.fixed_mem + self.round_staged * Self::STAGED_BYTES);
-
-        if let Some(inj) = &self.injector {
-            self.report.dropped_messages = inj.dropped() + self.crash_lost;
-            self.report.duplicated_messages = inj.duplicated();
+        // shards cover ascending node ranges, so the outcomes arrive in
+        // ascending node order
+        for s in &mut self.scratch[..shards] {
+            self.core.apply_outcomes(s.sched.drain(..));
         }
-        self.report.peak_messages_per_round = self.report.peak_messages_per_round.max(round_msgs);
-        if round_msgs > 0 {
-            self.last_activity = self.round;
-        }
-        self.round += 1;
-        self.report.rounds = self.round;
-        self.advance_crash_epoch();
+        self.core.end_round();
         Ok(())
     }
 
-    /// Folds the shards' per-node outcomes into next round's schedule:
-    /// the ticking list, the timer heap, and the O(1) quiescence counter.
-    /// Shards cover ascending node ranges, so concatenation keeps
-    /// `ticking` sorted.
-    fn apply_schedule(&mut self, shards: usize) {
-        let next = self.round + 1;
+    /// The sequential merge: replays every shard's staged sends through
+    /// the core in ascending node order — the order the fault injector's
+    /// RNG stream and the trace's `send` events are defined in.
+    fn merge_staged(&mut self, shards: usize) -> Result<(), SimError> {
         let RoundEngine {
+            core,
             scratch,
-            ticking,
-            timers,
-            done_flag,
-            live_undone,
+            codec,
             ..
         } = self;
-        ticking.clear();
-        for s in scratch[..shards].iter_mut() {
-            for (v32, outcome) in s.sched.drain(..) {
-                let v = v32 as usize;
-                match outcome {
-                    NodeOutcome::Crashed => timers.cancel(v32),
-                    NodeOutcome::Done => {
-                        if !done_flag[v] {
-                            done_flag[v] = true;
-                            *live_undone -= 1;
-                        }
-                        timers.cancel(v32);
-                    }
-                    NodeOutcome::Tick | NodeOutcome::Sleep | NodeOutcome::Park(_) => {
-                        if done_flag[v] {
-                            // un-done: a message re-activated the node
-                            done_flag[v] = false;
-                            *live_undone += 1;
-                        }
-                        match outcome {
-                            NodeOutcome::Tick => {
-                                // the ticking list schedules the node;
-                                // `note` only invalidates parked entries
-                                timers.note(v32, next);
-                                ticking.push(v32);
-                            }
-                            NodeOutcome::Sleep => timers.cancel(v32),
-                            // `park` skips the push when the heap
-                            // already holds this exact wake —
-                            // re-parking an unchanged timer is free
-                            NodeOutcome::Park(r) => timers.park(v32, r),
-                            _ => unreachable!(),
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Replays the staged sends of every shard in ascending node order:
-    /// message accounting (`size_bits` read from the packed metadata
-    /// word), fault-injector transmission (the *only* place its RNG
-    /// advances), and arena delivery. Returns the number of messages
-    /// sent this round.
-    fn merge_staged(&mut self, shards: usize) -> Result<u64, SimError> {
-        let round = self.round;
-        // On a double send the sequential loop aborts at the violating
-        // node: its sends and every later node's sends never happen.
-        // Reproduce that cut-off exactly.
-        let cut = self.scratch[..shards]
-            .iter()
-            .filter_map(|s| s.violation)
-            .min_by_key(|&(v, _)| v);
+        let scratch = &mut scratch[..shards];
+        let cut = first_violation(scratch);
         let cut_node = cut.map_or(u32::MAX, |(v, _)| v);
         // With no injector/trace attached, `run_shard` already transcoded
-        // every staged message (the decoded frame is what sits in the
-        // slab), so the merge only replays the round trip when staging
-        // could not (sequential-order runs) or when a staging transcode
-        // failed and the error must be re-derived at its exact replay
-        // position.
-        let pretranscoded = self.injector.is_none() && self.trace.is_none();
-        let any_bad = self.scratch[..shards].iter().any(|s| s.wire_bad);
-        let wire_exact = self.config.wire_exact && (!pretranscoded || any_bad);
-        let codec_profile = self.config.codec_profile;
-        let mut round_msgs = 0u64;
-        let RoundEngine {
-            graph,
-            rev_port,
-            off,
-            pending,
-            pending_count,
-            recv_mark,
-            receivers,
-            injector,
-            report,
-            scratch,
-            crash_lost,
-            trace,
-            round_staged,
-            codec,
-            codec_ns,
-            codec_msgs,
-            ..
-        } = self;
-        let epoch = round + 1;
-        // One flush and one crash-loss event per round, aggregated over
-        // all shards, so the trace stream is byte-identical whatever
-        // KDOM_THREADS was.
-        let staged_total: u64 = scratch[..shards]
-            .iter()
-            .map(|s| s.staged_meta.len() as u64)
-            .sum();
-        *round_staged = staged_total;
-        let lost_total: u64 = scratch[..shards].iter().map(|s| s.crash_lost).sum();
-        if let Some(t) = trace.as_mut() {
-            t.event(&TraceEvent::ShardFlush {
-                round,
-                staged: staged_total,
-                bytes: staged_total * Self::STAGED_BYTES,
-            });
-            if lost_total > 0 {
-                t.event(&TraceEvent::CrashLost {
-                    round,
-                    copies: lost_total,
-                });
-            }
+        // every staged message, so the merge only replays the round trip
+        // when staging could not (sequential-order runs) or when a staging
+        // transcode failed and the error must be re-derived at its exact
+        // replay position.
+        let pretranscoded = core.injector.is_none() && core.trace.is_none();
+        let any_bad = scratch.iter().any(|s| s.wire_bad);
+        let wire_exact = core.config.wire_exact && (!pretranscoded || any_bad);
+        let staged = scratch.iter().map(|s| s.staged_meta.len() as u64).sum();
+        let lost = scratch.iter().map(|s| s.crash_lost).sum();
+        core.flush_staged(staged, lost);
+        for s in scratch {
+            let entries = s.staged_meta.drain(..).zip(s.staged_msgs.drain(..));
+            replay_packed(core, codec, entries, cut_node, wire_exact)?;
         }
-        *crash_lost += lost_total;
-        for s in scratch[..shards].iter_mut() {
-            for (meta, msg) in s.staged_meta.drain(..).zip(s.staged_msgs.drain(..)) {
-                let v32 = (meta >> 40) as u32;
-                if v32 >= cut_node {
-                    continue;
-                }
-                let (v, p) = (v32 as usize, ((meta >> 20) & 0xF_FFFF) as usize);
-                let rp = rev_port[off[v] + p];
-                if rp == usize::MAX {
-                    return Err(SimError::BrokenTopology {
-                        node: NodeId(v),
-                        port: Port(p),
-                    });
-                }
-                let arc = graph.neighbors(NodeId(v))[p];
-                let field = meta & META_BITS;
-                let bits = if field == META_BITS {
-                    msg.size_bits() // wider than the packed field
-                } else {
-                    field
-                };
-                debug_assert_eq!(bits, msg.size_bits(), "packed word out of sync");
-                // Wire-exact: what continues from here is the *decoded*
-                // frame, so the receiving automaton provably depends only
-                // on the bits that were on the wire. The round trip runs
-                // in the engine's reused scratch buffers — no per-frame
-                // allocation.
-                let msg = if wire_exact {
-                    let t0 = codec_profile.then(Instant::now);
-                    let tripped = codec.round_trip(&msg);
-                    if let Some(t0) = t0 {
-                        *codec_ns += t0.elapsed().as_nanos() as u64;
-                        *codec_msgs += 1;
-                    }
-                    match tripped {
-                        Ok(decoded) => decoded,
-                        Err(detail) => {
-                            return Err(SimError::WireMismatch {
-                                node: NodeId(v),
-                                port: Port(p),
-                                round,
-                                detail,
-                            });
-                        }
-                    }
-                } else {
-                    msg
-                };
-                report.messages += 1;
-                report.total_bits += bits;
-                report.max_message_bits = report.max_message_bits.max(bits);
-                round_msgs += 1;
-                let (copies, down) = match injector.as_mut() {
-                    None => (1, false),
-                    Some(inj) => {
-                        let tx = inj.transmit(arc.edge, round);
-                        (tx.copies.len() as u32, tx.down)
-                    }
-                };
-                if let Some(t) = trace.as_mut() {
-                    t.event(&TraceEvent::Send {
-                        round,
-                        sender: v32,
-                        port: p as u32,
-                        bits,
-                        copies,
-                        link_down: down,
-                    });
-                }
-                if copies == 0 {
-                    continue; // dropped on the wire
-                }
-                let to = arc.to.0;
-                let slot = &mut pending[off[to] + rp];
-                match slot {
-                    // only fault duplication can target an occupied slot:
-                    // one sender per edge direction per round
-                    Some((_, existing)) => *existing += copies,
-                    None => *slot = Some((msg, copies)),
-                }
-                *pending_count += u64::from(copies);
-                if recv_mark[to] != epoch {
-                    recv_mark[to] = epoch;
-                    receivers.push(to as u32);
-                }
-            }
-        }
-        if let Some((v, port)) = cut {
-            return Err(SimError::CongestViolation {
-                node: NodeId(v as usize),
-                port,
-                round,
-            });
-        }
-        Ok(round_msgs)
+        core.end_delivery(cut)
     }
 
     /// Sequential replay of a bucketed round on which a shard flagged a
@@ -1671,84 +1053,30 @@ impl<'g, P: Protocol> RoundEngine<'g, P> {
     /// single-threaded run byte for byte. In wire-exact mode every frame
     /// is round-tripped again in that order — idempotent for the frames
     /// that already passed at staging time, and re-deriving the mismatch
-    /// at its exact sequential position for the one that failed (a wire
-    /// error at a lower node beats a violation cut at a higher one,
-    /// matching [`RoundEngine::merge_staged`]'s mid-loop return). Always
+    /// at its exact sequential position for the one that failed. Always
     /// returns the error — this path only runs when one exists.
     fn merge_bucketed_fallback(&mut self, shards: usize) -> SimError {
-        let round = self.round;
-        let cut = self.scratch[..shards]
-            .iter()
-            .filter_map(|s| s.violation)
-            .min_by_key(|&(v, _)| v);
+        let RoundEngine {
+            core,
+            scratch,
+            codec,
+            ..
+        } = self;
+        let scratch = &mut scratch[..shards];
+        let cut = first_violation(scratch);
         let cut_node = cut.map_or(u32::MAX, |(v, _)| v);
         let mut entries: Vec<(u64, P::Msg)> = Vec::new();
-        for s in &mut self.scratch[..shards] {
+        for s in scratch.iter_mut() {
             for (meta, msgs) in &mut s.incoming[..shards] {
                 entries.extend(meta.drain(..).zip(msgs.drain(..)));
             }
         }
         entries.sort_unstable_by_key(|&(meta, _)| meta);
-        self.round_staged = entries.len() as u64;
-        let epoch = round + 1;
-        for (meta, msg) in entries {
-            let v32 = (meta >> 40) as u32;
-            if v32 >= cut_node {
-                continue;
-            }
-            let (v, p) = (v32 as usize, ((meta >> 20) & 0xF_FFFF) as usize);
-            let rp = self.rev_port[self.off[v] + p];
-            if rp == usize::MAX {
-                return SimError::BrokenTopology {
-                    node: NodeId(v),
-                    port: Port(p),
-                };
-            }
-            let to = self.graph.neighbors(NodeId(v))[p].to.0;
-            let field = meta & META_BITS;
-            let bits = if field == META_BITS {
-                msg.size_bits() // wider than the packed field
-            } else {
-                field
-            };
-            debug_assert_eq!(bits, msg.size_bits(), "packed word out of sync");
-            let msg = if self.config.wire_exact {
-                match self.codec.round_trip(&msg) {
-                    Ok(decoded) => decoded,
-                    Err(detail) => {
-                        return SimError::WireMismatch {
-                            node: NodeId(v),
-                            port: Port(p),
-                            round,
-                            detail,
-                        };
-                    }
-                }
-            } else {
-                msg
-            };
-            self.report.messages += 1;
-            self.report.total_bits += bits;
-            self.report.max_message_bits = self.report.max_message_bits.max(bits);
-            let slot = &mut self.pending[self.off[to] + rp];
-            match slot {
-                Some((_, existing)) => *existing += 1,
-                None => *slot = Some((msg, 1)),
-            }
-            self.pending_count += 1;
-            if self.recv_mark[to] != epoch {
-                self.recv_mark[to] = epoch;
-                self.receivers.push(to as u32);
-            }
-        }
-        // wire and topology errors return mid-loop, so reaching here
-        // means a violation triggered the fallback
-        let (v, port) = cut.expect("fallback without violation implies a wire/topology error");
-        SimError::CongestViolation {
-            node: NodeId(v as usize),
-            port,
-            round,
-        }
+        core.flush_staged(entries.len() as u64, 0);
+        let wire_exact = core.config.wire_exact;
+        replay_packed(core, codec, entries.into_iter(), cut_node, wire_exact)
+            .and_then(|()| core.end_delivery(cut))
+            .expect_err("the fallback runs only on a failing round")
     }
 }
 
@@ -1940,13 +1268,13 @@ where
             .then(|| FaultInjector::new(plan));
         let mut engine = RoundEngine::new(&cur, nodes, config, injector);
         let boundary = plan.epochs.get(i).map_or(u64::MAX, |e| e.at);
-        let quiesced = engine
-            .run_to(boundary, max_rounds)
-            .map_err(|error| EpochError::Sim {
-                epoch: i,
-                error: Box::new(error),
-            })?;
-        engine.trace_run_end();
+        let quiesced =
+            engine
+                .run_to(boundary, max_rounds, true)
+                .map_err(|error| EpochError::Sim {
+                    epoch: i,
+                    error: Box::new(error),
+                })?;
         let (taken, report) = engine.into_parts();
         segments.push(report);
         nodes = taken;
@@ -1972,8 +1300,6 @@ where
 }
 
 /// Merges two sorted, duplicate-free lists into `out`, deduplicating.
-/// Shared with the socket transport's coordinator, which rebuilds the
-/// same active-set merge over its frame arena.
 pub(crate) fn merge_sorted_dedup(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
@@ -2029,7 +1355,6 @@ mod tests {
     fn config_env_parsing_defaults() {
         let cfg = EngineConfig::default();
         assert_eq!(cfg.threads, 1);
-        assert_eq!(cfg.scheduling, Scheduling::ActiveSet);
         assert!(cfg.fast_forward);
         assert_eq!(cfg.dense_pct, 75);
         assert_eq!(cfg.shard_min, 1024);
@@ -2038,7 +1363,6 @@ mod tests {
         assert!(!cfg.codec_profile);
         let cfg = cfg
             .with_threads(4)
-            .with_scheduling(Scheduling::FullScan)
             .with_fast_forward(false)
             .with_dense_pct(50)
             .with_shard_min(32)
@@ -2046,7 +1370,6 @@ mod tests {
             .with_wire_exact(false)
             .with_codec_profile(true);
         assert_eq!(cfg.threads, 4);
-        assert_eq!(cfg.scheduling, Scheduling::FullScan);
         assert!(!cfg.fast_forward);
         assert_eq!(cfg.dense_pct, 50);
         assert_eq!(cfg.shard_min, 32);

@@ -7,6 +7,7 @@ use kdom_graph::graph::{Arc, Graph, NodeId};
 use crate::engine::{EngineConfig, RoundEngine};
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::report::RunReport;
+use crate::round::{RoundCore, Rounds};
 
 /// A message that can travel over an edge.
 ///
@@ -470,12 +471,13 @@ type InvariantFn<P> = Box<dyn FnMut(&InvariantView<'_, P>) -> Result<(), String>
 
 /// Deterministic lockstep executor of a [`Protocol`] over a graph.
 ///
-/// A thin shell over the shared [`crate::engine`] core: the round loop,
-/// message arena, scheduling, and (optional) parallel compute phase all
-/// live there; this type adds the invariant hooks and the public
-/// surface. Construction via [`Simulator::new`] reads the engine
-/// configuration from the environment (`KDOM_THREADS`, `KDOM_SCHED`);
-/// use [`Simulator::with_config`] to pin it explicitly.
+/// A thin shell over the [`crate::engine`]: the round loop, message
+/// arena, scheduling, and (optional) parallel compute phase all live
+/// there and in the shared round core; this type adds the invariant
+/// hooks and the public surface. Construction via [`Simulator::new`]
+/// reads the engine configuration from the environment
+/// ([`EngineConfig::from_env`]); use [`Simulator::with_config`] to pin
+/// it explicitly.
 pub struct Simulator<'g, P: Protocol> {
     engine: RoundEngine<'g, P>,
     invariants: Vec<(String, InvariantFn<P>)>,
@@ -521,8 +523,8 @@ impl<'g, P: Protocol> Simulator<'g, P> {
 
     /// Like [`Simulator::with_faults`] with an explicit engine
     /// configuration. The injected fault stream is part of the
-    /// deterministic run: it is identical across thread counts and
-    /// scheduling policies.
+    /// deterministic run: it is identical across every engine
+    /// configuration.
     ///
     /// # Panics
     ///
@@ -562,12 +564,12 @@ impl<'g, P: Protocol> Simulator<'g, P> {
 
     /// Statistics accumulated so far.
     pub fn report(&self) -> &RunReport {
-        self.engine.report()
+        &self.engine.core.report
     }
 
     /// Whether every surviving node is done and no messages are in flight.
     pub fn quiescent(&self) -> bool {
-        self.engine.quiescent()
+        self.engine.core.quiescent()
     }
 
     /// Attaches a [`TraceSink`](crate::trace::TraceSink) for this run,
@@ -575,7 +577,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// immediately receives the `run_start` event; the final report is
     /// emitted when [`Simulator::run`] reaches quiescence.
     pub fn set_trace(&mut self, sink: Box<dyn crate::trace::TraceSink>) {
-        self.engine.attach_trace(Some(sink));
+        self.engine.core.attach_trace(Some(sink));
     }
 
     /// Skips ahead over provably-empty rounds without executing them
@@ -584,12 +586,12 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// instrumented drivers (the bench harness's round profiler) can
     /// interleave skips with hand-timed [`Simulator::step`] calls.
     pub fn fast_forward(&mut self, limit: u64) {
-        self.engine.fast_forward(limit);
+        self.engine.core.fast_forward(limit);
     }
 
     /// `(jumps, skipped_rounds)` taken by quiescence fast-forward so far.
     pub fn fast_forward_stats(&self) -> (u64, u64) {
-        self.engine.fast_forward_stats()
+        self.engine.core.fast_forward_stats()
     }
 
     /// `(nanoseconds, round_trips)` spent in the wire codec so far; all
@@ -617,9 +619,9 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         }
         // The arena is flattened; rebuild the legacy per-node queue shape
         // the invariant API exposes (only paid when checks are registered).
-        let pending = self.engine.materialize_pending();
+        let pending = self.engine.core.materialize_pending();
         let view = InvariantView {
-            round: self.engine.round(),
+            round: self.engine.core.round,
             nodes: self.engine.nodes(),
             pending: &pending,
         };
@@ -651,36 +653,28 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// `max_rounds` rounds, and propagates every error of [`Self::step`]
     /// and of registered invariant checks.
     pub fn run(&mut self, max_rounds: u64) -> Result<RunReport, SimError> {
-        let fast_forward = self.invariants.is_empty();
-        loop {
-            if self.engine.quiescent() {
-                break;
-            }
-            if fast_forward {
-                self.engine.fast_forward(max_rounds);
-                // the jump may have landed on a crash that excuses the
-                // last unfinished nodes
-                if self.engine.quiescent() {
-                    break;
-                }
-            }
-            if self.engine.round() >= max_rounds {
-                return Err(SimError::RoundLimitExceeded {
-                    limit: max_rounds,
-                    stall: self.engine.stall_report(),
-                });
-            }
-            self.engine.step()?;
-            self.check_invariants()?;
-        }
-        self.engine.trace_run_end();
-        Ok(self.engine.report().clone())
+        let skip = self.invariants.is_empty();
+        self.run_to(u64::MAX, max_rounds, skip)?;
+        Ok(self.engine.core.report.clone())
+    }
+}
+
+impl<'g, P: Protocol> Rounds<'g> for Simulator<'g, P> {
+    type Payload = P::Msg;
+
+    fn core(&mut self) -> &mut RoundCore<'g, P::Msg> {
+        &mut self.engine.core
+    }
+
+    fn execute_round(&mut self) -> Result<(), SimError> {
+        self.engine.step()?;
+        self.check_invariants()
     }
 }
 
 /// Convenience: builds a simulator, runs it to quiescence, and returns the
 /// automata plus the report. The engine configuration comes from the
-/// environment (`KDOM_THREADS`, `KDOM_SCHED`).
+/// environment ([`EngineConfig::from_env`]).
 ///
 /// # Errors
 ///

@@ -7,12 +7,14 @@
 //! the in-process engine:
 //!
 //! - The **coordinator** ([`coordinate`]) owns everything global and
-//!   order-sensitive: the round clock, the wake-driven schedule (ticking
-//!   list, [`TimerHeap`], receiver epochs — the exact structures of
-//!   [`RoundEngine`](crate::engine)), the fault injector (whose RNG must
-//!   advance in the sequential replay order), the trace sink, and the
-//!   [`RunReport`] accounting. It never decodes a message: payloads move
-//!   through it as opaque `(words, bits)` frames.
+//!   order-sensitive by driving the same round core as the in-process
+//!   engine (`round::RoundCore`): the round clock, the wake-driven
+//!   schedule, the fault injector (whose RNG must advance in the
+//!   sequential replay order), the trace sink, and the [`RunReport`]
+//!   accounting. Its own part is the socket links: it ships each round's
+//!   work orders out and harvests the replies. It never decodes a
+//!   message: payloads move through the core's arena as opaque
+//!   `(words, bits)` frames.
 //! - Each **worker** ([`run_worker`]) owns a contiguous shard of the
 //!   automata and is the only place protocol code runs. Workers decode
 //!   their inbound frames and encode their outbound ones, so wire-exact
@@ -21,11 +23,12 @@
 //!   check on every staged send (a mismatch aborts the run with
 //!   [`SimError::WireMismatch`], reported through a typed `Abort` frame).
 //!
-//! Because the coordinator replays sends in the same ascending
-//! `(sender, port)` order as the engine's sequential merge — including
-//! the fault injector's [`transmit`](crate::FaultInjector::transmit)
-//! calls — a distributed run produces the same [`RunReport`] and the
-//! same JSONL trace, byte for byte, as `Simulator::run` on one process.
+//! Because the coordinator replays sends through the core in the same
+//! ascending `(sender, port)` order as the engine's sequential merge —
+//! including the fault injector's
+//! [`transmit`](crate::FaultInjector::transmit) calls — a distributed run
+//! produces the same [`RunReport`] and the same JSONL trace, byte for
+//! byte, as `Simulator::run` on one process.
 //! `tests/transport_parity.rs` pins this.
 //!
 //! Crash-stop faults are deliberately unsupported here: in a
@@ -47,18 +50,18 @@ use std::time::{Duration, Instant};
 
 use kdom_graph::graph::{Graph, NodeId};
 
-use crate::engine::{execute_node_round, merge_sorted_dedup, EngineConfig, Scheduling};
-use crate::events::TimerHeap;
+use crate::engine::{execute_node_round, EngineConfig};
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::report::RunReport;
-use crate::sim::{Port, Protocol, SimError, StallReport, Wake};
-use crate::trace::{TraceEvent, TraceSink};
-use crate::wire::{decode_from, encode_to, BitReader, BitWriter, Wire, WireError};
+use crate::round::{memory_model, NodeOutcome, RoundCore, Rounds};
+use crate::sim::{Port, Protocol, SimError};
+use crate::trace::TraceSink;
+use crate::wire::{decode_from, encode_to, BitReader, BitWriter, CodecScratch, Wire, WireError};
 
 /// Protocol version carried in the handshake; bumped on any change to
 /// the control frame layout. A mismatch aborts with
 /// [`SimError::PeerLost`] instead of silently misparsing frames.
-pub const TRANSPORT_VERSION: u32 = 1;
+pub const TRANSPORT_VERSION: u32 = 2;
 
 /// Magic word opening every byte frame (`"KDOM"` little-endian-ish).
 pub const FRAME_MAGIC: u32 = 0x4B44_4F4D;
@@ -387,21 +390,6 @@ pub fn graph_fingerprint(g: &Graph) -> u64 {
 // Control protocol
 // ---------------------------------------------------------------------------
 
-/// A node's requested schedule for the next round, as shipped back by a
-/// worker — the wire form of the engine's internal outcome (crash-stop
-/// is excluded: process death models crashes over the transport).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WireOutcome {
-    /// `is_done()` held after the round: unschedule until a message.
-    Done,
-    /// Step the node next round.
-    Tick,
-    /// The node acts only on messages.
-    Sleep,
-    /// Timer-armed for the given future round.
-    Park(u64),
-}
-
 /// One staged send leaving a worker: the sender-side port plus the
 /// encoded frame. The coordinator treats the payload as opaque.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -445,10 +433,8 @@ pub struct StartEntry {
 pub struct NodeResult {
     /// The node that ran.
     pub node: u32,
-    /// Its schedule request (`None` under full-scan scheduling when the
-    /// done flag did not transition — the engine records only changes
-    /// there).
-    pub outcome: Option<WireOutcome>,
+    /// Its schedule request for the next round.
+    pub outcome: NodeOutcome,
     /// Port of the first CONGEST violation (double send), if any.
     pub violation: Option<u32>,
     /// Its staged sends, ascending by port.
@@ -481,9 +467,6 @@ pub enum Ctl {
     Welcome {
         /// Heartbeat/read deadline in milliseconds.
         timeout_ms: u64,
-        /// Whether scheduling is full-scan (workers then report only
-        /// done-flag transitions, mirroring the engine).
-        full_scan: bool,
     },
     /// Coordinator → worker: step these nodes for `round`.
     Start {
@@ -639,20 +622,44 @@ impl Wire for StartEntry {
     }
 }
 
+/// Variant count of [`NodeOutcome`], for tag sizing.
+const OUTCOME_VARIANTS: u64 = 5;
+
+impl Wire for NodeOutcome {
+    fn encode(&self, w: &mut BitWriter) {
+        match *self {
+            NodeOutcome::Done => w.tag(0, OUTCOME_VARIANTS),
+            NodeOutcome::Tick => w.tag(1, OUTCOME_VARIANTS),
+            NodeOutcome::Sleep => w.tag(2, OUTCOME_VARIANTS),
+            NodeOutcome::Park(at) => {
+                w.tag(3, OUTCOME_VARIANTS);
+                w.push(at, 64);
+            }
+            NodeOutcome::Crashed => w.tag(4, OUTCOME_VARIANTS),
+        }
+    }
+
+    fn decode(r: &mut BitReader<'_>) -> Result<Self, WireError> {
+        Ok(match r.tag(OUTCOME_VARIANTS)? {
+            0 => NodeOutcome::Done,
+            1 => NodeOutcome::Tick,
+            2 => NodeOutcome::Sleep,
+            3 => NodeOutcome::Park(r.pull(64)?),
+            4 => NodeOutcome::Crashed,
+            value => {
+                return Err(WireError::BadTag {
+                    context: "node outcome",
+                    value,
+                })
+            }
+        })
+    }
+}
+
 impl Wire for NodeResult {
     fn encode(&self, w: &mut BitWriter) {
         w.u32(self.node);
-        let idx = match self.outcome {
-            None => 0,
-            Some(WireOutcome::Done) => 1,
-            Some(WireOutcome::Tick) => 2,
-            Some(WireOutcome::Sleep) => 3,
-            Some(WireOutcome::Park(_)) => 4,
-        };
-        w.tag(idx, 5);
-        if let Some(WireOutcome::Park(at)) = self.outcome {
-            w.push(at, 64);
-        }
+        self.outcome.encode(w);
         w.opt_u32(self.violation);
         w.u32(self.sends.len() as u32);
         for s in &self.sends {
@@ -662,19 +669,7 @@ impl Wire for NodeResult {
 
     fn decode(r: &mut BitReader<'_>) -> Result<Self, WireError> {
         let node = r.u32()?;
-        let outcome = match r.tag(5)? {
-            0 => None,
-            1 => Some(WireOutcome::Done),
-            2 => Some(WireOutcome::Tick),
-            3 => Some(WireOutcome::Sleep),
-            4 => Some(WireOutcome::Park(r.pull(64)?)),
-            value => {
-                return Err(WireError::BadTag {
-                    context: "node outcome",
-                    value,
-                })
-            }
-        };
+        let outcome = NodeOutcome::decode(r)?;
         let violation = r.opt_u32()?;
         let len = r.u32()?;
         let mut sends = Vec::new();
@@ -714,13 +709,9 @@ impl Wire for Ctl {
                     w.flag(d);
                 }
             }
-            Ctl::Welcome {
-                timeout_ms,
-                full_scan,
-            } => {
+            Ctl::Welcome { timeout_ms } => {
                 w.tag(1, CTL_VARIANTS);
                 w.push(*timeout_ms, 64);
-                w.flag(*full_scan);
             }
             Ctl::Start { round, entries } => {
                 w.tag(2, CTL_VARIANTS);
@@ -788,7 +779,6 @@ impl Wire for Ctl {
             }
             1 => Ctl::Welcome {
                 timeout_ms: r.pull(64)?,
-                full_scan: r.flag()?,
             },
             2 => {
                 let round = r.pull(64)?;
@@ -884,29 +874,6 @@ pub struct WorkerOpts {
     pub die_at_round: Option<u64>,
 }
 
-/// The engine's fixed-memory constant for protocol `P` on `graph`,
-/// computed with the exact formula `RoundEngine::new` uses (the graph
-/// CSR, ids, offset and reverse-port tables, both arenas, per-node
-/// schedule state, and the automata). Workers ship this in their
-/// handshake so the coordinator's `peak_memory_bytes` — and therefore
-/// the whole [`RunReport`] — matches the in-process run bit for bit.
-fn engine_fixed_mem<P: Protocol>(graph: &Graph) -> u64 {
-    let n = graph.node_count();
-    let acc: usize = (0..n).map(|v| graph.degree(NodeId(v))).sum();
-    let usize_b = std::mem::size_of::<usize>() as u64;
-    graph.memory_bytes()
-        + (n as u64) * 8
-        + ((n + 1) as u64 + acc as u64) * usize_b
-        + 2 * (acc as u64) * std::mem::size_of::<Option<(P::Msg, u32)>>() as u64
-        + (n as u64) * 17
-        + (n as u64) * std::mem::size_of::<P>() as u64
-}
-
-/// Bytes one staged send occupies in the engine's packed slab.
-fn staged_bytes_of<P: Protocol>() -> u64 {
-    8 + std::mem::size_of::<P::Msg>() as u64
-}
-
 fn lost_coord(round: u64, what: &str, e: &io::Error) -> SimError {
     SimError::PeerLost {
         peer: u32::MAX,
@@ -954,7 +921,6 @@ pub fn run_worker<P: Protocol>(
     let (lo, hi) = (bounds[opts.shard], bounds[opts.shard + 1]);
     let ids: Vec<u64> = (0..n).map(|v| graph.id_of(NodeId(v))).collect();
     let mut nodes: Vec<P> = (lo..hi).map(|v| make(v, ids[v])).collect();
-    let mut done_flag: Vec<bool> = nodes.iter().map(Protocol::is_done).collect();
 
     // Connect with retry: the coordinator may not be listening yet when
     // the process fleet launches.
@@ -972,6 +938,7 @@ pub fn run_worker<P: Protocol>(
     };
 
     let mut bufs = FrameBufs::default();
+    let (fixed_mem, staged_bytes) = memory_model::<P>(graph);
     bufs.send(
         &mut conn,
         &Ctl::Hello {
@@ -979,9 +946,9 @@ pub fn run_worker<P: Protocol>(
             shard: opts.shard as u32,
             shards: opts.shards as u32,
             graph_hash: graph_fingerprint(graph),
-            fixed_mem: engine_fixed_mem::<P>(graph),
-            staged_bytes: staged_bytes_of::<P>(),
-            done: done_flag.clone(),
+            fixed_mem,
+            staged_bytes,
+            done: nodes.iter().map(Protocol::is_done).collect(),
         },
     )
     .map_err(|e| lost_coord(0, "handshake send", &e))?;
@@ -989,11 +956,8 @@ pub fn run_worker<P: Protocol>(
     // legitimately compute for a long time while this worker waits for
     // its next Start. Liveness toward the coordinator is the heartbeat
     // thread's job; a dead coordinator surfaces here as EOF.
-    let (timeout_ms, full_scan) = match bufs.recv(&mut conn) {
-        Ok(Ctl::Welcome {
-            timeout_ms,
-            full_scan,
-        }) => (timeout_ms, full_scan),
+    let timeout_ms = match bufs.recv(&mut conn) {
+        Ok(Ctl::Welcome { timeout_ms }) => timeout_ms,
         Ok(other) => {
             return Err(SimError::PeerLost {
                 peer: u32::MAX,
@@ -1039,8 +1003,6 @@ pub fn run_worker<P: Protocol>(
         &ids,
         lo,
         &mut nodes,
-        &mut done_flag,
-        full_scan,
         &harvest,
         opts.die_at_round,
         &mut conn,
@@ -1059,14 +1021,36 @@ fn send_shared(writer: &Mutex<Conn>, bufs: &mut FrameBufs, msg: &Ctl) -> io::Res
     w.flush()
 }
 
+/// Sends a typed `Abort` for the send `(node, port, round)` upstream
+/// (best effort: the run is over either way) and returns the matching
+/// [`SimError::WireMismatch`].
+fn abort(
+    writer: &Mutex<Conn>,
+    bufs: &mut FrameBufs,
+    (node, port, round): (u32, u32, u64),
+    detail: String,
+) -> SimError {
+    let msg = Ctl::Abort {
+        node,
+        port,
+        round,
+        detail: detail.clone(),
+    };
+    let _ = send_shared(writer, bufs, &msg);
+    SimError::WireMismatch {
+        node: NodeId(node as usize),
+        port: Port(port as usize),
+        round,
+        detail,
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn worker_loop<P: Protocol>(
     graph: &Graph,
     ids: &[u64],
     lo: usize,
     nodes: &mut [P],
-    done_flag: &mut [bool],
-    full_scan: bool,
     harvest: &impl Fn(&P) -> u64,
     die_at_round: Option<u64>,
     conn: &mut Conn,
@@ -1074,10 +1058,10 @@ fn worker_loop<P: Protocol>(
 ) -> Result<(), SimError> {
     let mut bufs = FrameBufs::default();
     let mut out_bufs = FrameBufs::default();
+    let mut codec = CodecScratch::new();
     let mut inbox: Vec<(Port, P::Msg)> = Vec::new();
     let mut outbox: Vec<Option<P::Msg>> = Vec::new();
-    let mut enc_scratch: Vec<u64> = Vec::new();
-    let mut renc_scratch: Vec<u64> = Vec::new();
+    let mut enc: Vec<u64> = Vec::new();
     let mut last_round = 0u64;
     loop {
         let msg = match bufs.recv(conn) {
@@ -1099,35 +1083,11 @@ fn worker_loop<P: Protocol>(
                         // Decode exactly what was on the socket; the
                         // canonical re-encode proves the sender and this
                         // receiver agree on the message layout.
-                        let decoded = decode_from::<P::Msg>(&d.words, d.bits)
-                            .map_err(|e| format!("decode: {e}"))
-                            .and_then(|m| {
-                                let rb = encode_to(&m, &mut renc_scratch);
-                                if rb != d.bits || renc_scratch != d.words {
-                                    Err(format!(
-                                        "re-encode differs: {rb} bits vs {} on the wire",
-                                        d.bits
-                                    ))
-                                } else {
-                                    Ok(m)
-                                }
-                            });
-                        let msg = match decoded {
+                        let msg = match codec.check_words::<P::Msg>(&d.words, d.bits) {
                             Ok(m) => m,
                             Err(detail) => {
-                                let abort = Ctl::Abort {
-                                    node: d.sender,
-                                    port: d.sender_port,
-                                    round: round.saturating_sub(1),
-                                    detail: detail.clone(),
-                                };
-                                let _ = send_shared(writer, &mut out_bufs, &abort);
-                                return Err(SimError::WireMismatch {
-                                    node: NodeId(d.sender as usize),
-                                    port: Port(d.sender_port as usize),
-                                    round: round.saturating_sub(1),
-                                    detail,
-                                });
+                                let at = (d.sender, d.sender_port, round.saturating_sub(1));
+                                return Err(abort(writer, &mut out_bufs, at, detail));
                             }
                         };
                         for _ in 1..d.copies {
@@ -1135,80 +1095,28 @@ fn worker_loop<P: Protocol>(
                         }
                         inbox.push((Port(d.port as usize), msg));
                     }
-                    let violation = execute_node_round(
-                        graph,
-                        ids,
-                        v,
-                        round,
-                        &mut nodes[v - lo],
-                        &inbox,
-                        &mut outbox,
-                    );
+                    let node = &mut nodes[v - lo];
+                    let violation =
+                        execute_node_round(graph, ids, v, round, node, &inbox, &mut outbox);
                     let mut sends = Vec::new();
                     for (p, slot) in outbox.iter_mut().enumerate() {
                         let Some(msg) = slot.take() else { continue };
-                        let bits = encode_to(&msg, &mut enc_scratch);
+                        let bits = encode_to(&msg, &mut enc);
                         // the staging-side round trip of the engine's
                         // wire-exact mode, across the process boundary
-                        let check = decode_from::<P::Msg>(&enc_scratch, bits)
-                            .map_err(|e| format!("decode: {e}"))
-                            .and_then(|m| {
-                                let rb = encode_to(&m, &mut renc_scratch);
-                                if rb != bits || renc_scratch != enc_scratch {
-                                    Err(format!("re-encode differs: {rb} bits vs {bits}"))
-                                } else {
-                                    Ok(())
-                                }
-                            });
-                        if let Err(detail) = check {
-                            let abort = Ctl::Abort {
-                                node: entry.node,
-                                port: p as u32,
-                                round,
-                                detail: detail.clone(),
-                            };
-                            let _ = send_shared(writer, &mut out_bufs, &abort);
-                            return Err(SimError::WireMismatch {
-                                node: NodeId(v),
-                                port: Port(p),
-                                round,
-                                detail,
-                            });
+                        if let Err(detail) = codec.check_words::<P::Msg>(&enc, bits) {
+                            let at = (entry.node, p as u32, round);
+                            return Err(abort(writer, &mut out_bufs, at, detail));
                         }
                         sends.push(SendFrame {
                             port: p as u32,
                             bits,
-                            words: enc_scratch.clone(),
+                            words: enc.clone(),
                         });
                     }
-                    let local = v - lo;
-                    let now_done = nodes[local].is_done();
-                    let outcome = if !full_scan {
-                        Some(if now_done {
-                            WireOutcome::Done
-                        } else {
-                            match nodes[local].next_wake(round) {
-                                Wake::EveryRound => WireOutcome::Tick,
-                                Wake::OnMessage => WireOutcome::Sleep,
-                                Wake::At(r) if r > round + 1 => WireOutcome::Park(r),
-                                Wake::At(_) => WireOutcome::Tick,
-                            }
-                        })
-                    } else if now_done != done_flag[local] {
-                        // full-scan scheduling records only transitions,
-                        // exactly like the engine's non-tracking shard
-                        Some(if now_done {
-                            WireOutcome::Done
-                        } else {
-                            WireOutcome::Tick
-                        })
-                    } else {
-                        None
-                    };
-                    done_flag[local] = now_done;
                     results.push(NodeResult {
                         node: entry.node,
-                        outcome,
+                        outcome: NodeOutcome::of(node, round),
                         violation: violation.map(|p| p.0 as u32),
                         sends,
                     });
@@ -1242,8 +1150,8 @@ fn worker_loop<P: Protocol>(
 pub struct CoordOpts {
     /// Worker process count (each owns one contiguous node shard).
     pub shards: usize,
-    /// Engine configuration. `scheduling`, `fast_forward`, `dense_pct`,
-    /// and `bit_budget` apply exactly as in-process; `threads` and
+    /// Engine configuration. `fast_forward`, `dense_pct`, and
+    /// `bit_budget` apply exactly as in-process; `threads` and
     /// `shard_min` are meaningless here (parallelism is the process
     /// fleet) and are ignored.
     pub config: EngineConfig,
@@ -1268,15 +1176,12 @@ pub struct DistOutcome {
     pub outputs: Vec<u64>,
 }
 
-/// An opaque queued frame in the coordinator's message arena: the
-/// process-level analogue of the engine's `Slot<Msg>`, with the sender
-/// kept for error attribution.
-type CSlot = Option<CFrame>;
-
+/// An opaque queued frame in the coordinator's message arena — the
+/// round core's slot payload here — with its sender kept for error
+/// attribution.
 struct CFrame {
     words: Vec<u64>,
     bits: u64,
-    copies: u32,
     sender: u32,
     sender_port: u32,
 }
@@ -1322,178 +1227,69 @@ impl WorkerLink {
     }
 }
 
-/// The coordinator's replica of the engine's schedule and accounting
-/// state — field for field the structures `RoundEngine` keeps, minus
-/// the automata (those live in the workers) and plus the socket links.
+/// The coordinator: the shared round core over opaque frames, plus the
+/// socket links that stand in for the engine's compute phase.
 struct Coord<'g> {
-    graph: &'g Graph,
-    config: EngineConfig,
-    off: Vec<usize>,
-    rev_port: Vec<usize>,
+    core: RoundCore<'g, CFrame>,
+    /// Shard `s` owns nodes `bounds[s]..bounds[s + 1]`.
     bounds: Vec<usize>,
     links: Vec<WorkerLink>,
-    inbox: Vec<CSlot>,
-    pending: Vec<CSlot>,
-    pending_count: u64,
-    recv_mark: Vec<u64>,
-    receivers: Vec<u32>,
-    ticking: Vec<u32>,
-    timers: TimerHeap,
-    due: Vec<u32>,
-    merged: Vec<u32>,
-    active: Vec<u32>,
-    done_flag: Vec<bool>,
-    live_undone: usize,
-    first_step: bool,
-    round: u64,
-    report: RunReport,
-    injector: Option<FaultInjector>,
-    last_activity: u64,
-    trace: Option<Box<dyn TraceSink>>,
-    fixed_mem: u64,
-    staged_bytes: u64,
-    round_staged: u64,
     /// Per-round scratch: `(node, outcome)` in ascending node order.
-    sched: Vec<(u32, Option<WireOutcome>)>,
+    sched: Vec<(u32, NodeOutcome)>,
     /// Per-round scratch: staged sends in ascending `(sender, port)`.
-    staged: Vec<(u32, u32, CFrame)>,
+    staged: Vec<CFrame>,
     /// First CONGEST violation this round, by node order.
     violation: Option<(u32, u32)>,
 }
 
-impl Coord<'_> {
-    fn quiescent(&self) -> bool {
-        self.pending_count == 0 && self.live_undone == 0
+impl<'g> Rounds<'g> for Coord<'g> {
+    type Payload = CFrame;
+
+    fn core(&mut self) -> &mut RoundCore<'g, CFrame> {
+        &mut self.core
     }
 
-    fn queued_at(&self, v: usize) -> usize {
-        self.pending[self.off[v]..self.off[v + 1]]
-            .iter()
-            .filter_map(|s| s.as_ref().map(|f| f.copies as usize))
-            .sum()
-    }
-
-    fn stall_report(&self) -> StallReport {
-        // no crash-stop over the transport: every node is live
-        let mut pending: Vec<(NodeId, usize)> = self
-            .receivers
-            .iter()
-            .map(|&v| (NodeId(v as usize), self.queued_at(v as usize)))
-            .filter(|&(_, depth)| depth > 0)
-            .collect();
-        pending.sort_unstable_by_key(|&(v, _)| v.0);
-        StallReport {
-            not_done: (0..self.done_flag.len())
-                .filter(|&v| !self.done_flag[v])
-                .map(NodeId)
-                .collect(),
-            pending,
-            last_activity: self.last_activity,
-            crashed: Vec::new(),
-            live: (0..self.done_flag.len()).map(NodeId).collect(),
-            stopped_at: self.round,
-        }
-    }
-
-    /// The engine's quiescence fast-forward, verbatim (no crash events
-    /// to clamp the jump here).
-    fn fast_forward(&mut self, limit: u64) {
-        if !self.config.fast_forward
-            || self.config.scheduling == Scheduling::FullScan
-            || self.first_step
-            || self.pending_count != 0
-            || !self.ticking.is_empty()
-        {
-            return;
-        }
-        let mut target = limit;
-        if let Some(wake) = self.timers.next_valid() {
-            if wake <= self.round {
-                return;
-            }
-            target = target.min(wake);
-        }
-        if target <= self.round {
-            return;
-        }
-        if let Some(t) = self.trace.as_mut() {
-            t.event(&TraceEvent::FastForward {
-                from: self.round,
-                to: target,
-            });
-        }
-        self.round = target;
-        self.report.rounds = target;
-    }
-
-    /// One distributed round: the engine's `step`, with the compute
-    /// phase farmed out over the sockets and the merge replayed here in
-    /// the exact sequential order.
-    fn step(&mut self) -> Result<(), SimError> {
-        let n = self.graph.node_count();
-        if let Some(t) = self.trace.as_mut() {
-            t.event(&TraceEvent::Round { round: self.round });
-        }
-        std::mem::swap(&mut self.inbox, &mut self.pending);
-        self.pending_count = 0;
-        self.timers.pop_due(self.round, &mut self.due);
-        self.active.clear();
-        let estimate = self.ticking.len() + self.due.len() + self.receivers.len();
-        if self.first_step
-            || self.config.scheduling == Scheduling::FullScan
-            || estimate * 100 >= n.saturating_mul(self.config.dense_pct)
-        {
-            self.active.extend(0..n as u32);
-        } else {
-            self.receivers.sort_unstable();
-            self.merged.clear();
-            merge_sorted_dedup(&self.ticking, &self.due, &mut self.merged);
-            merge_sorted_dedup(&self.merged, &self.receivers, &mut self.active);
-        }
-        self.first_step = false;
-        self.receivers.clear();
-
+    /// One distributed round: the compute phase farmed out over the
+    /// sockets, the merge replayed through the core in the exact
+    /// sequential order.
+    fn execute_round(&mut self) -> Result<(), SimError> {
+        self.core.begin_round();
         self.dispatch_round()?;
-        let round_msgs = self.merge_staged()?;
-        self.apply_schedule();
-        self.report.peak_memory_bytes = self
-            .report
-            .peak_memory_bytes
-            .max(self.fixed_mem + self.round_staged * self.staged_bytes);
-        if let Some(inj) = &self.injector {
-            self.report.dropped_messages = inj.dropped();
-            self.report.duplicated_messages = inj.duplicated();
+        self.core.flush_staged(self.staged.len() as u64, 0);
+        let cut_node = self.violation.map_or(u32::MAX, |(v, _)| v);
+        for f in self.staged.drain(..) {
+            if f.sender < cut_node {
+                self.core.deliver(f.sender, f.sender_port, f.bits, f)?;
+            }
         }
-        self.report.peak_messages_per_round = self.report.peak_messages_per_round.max(round_msgs);
-        if round_msgs > 0 {
-            self.last_activity = self.round;
-        }
-        self.round += 1;
-        self.report.rounds = self.round;
+        self.core.end_delivery(self.violation)?;
+        self.core.apply_outcomes(self.sched.iter().copied());
+        self.core.end_round();
         Ok(())
     }
+}
 
+impl Coord<'_> {
     /// Sends every worker its shard of the active set (taking the
     /// queued inbox slots along), then collects the replies into the
     /// round's `sched`/`staged`/`violation` scratch.
     fn dispatch_round(&mut self) -> Result<(), SimError> {
-        let shards = self.links.len();
-        let round = self.round;
-        for s in 0..shards {
+        let core = &mut self.core;
+        let round = core.round;
+        for (s, link) in self.links.iter_mut().enumerate() {
             let (lo, hi) = (self.bounds[s] as u32, self.bounds[s + 1] as u32);
-            let from = self.active.partition_point(|&v| v < lo);
-            let to = self.active.partition_point(|&v| v < hi);
+            let from = core.active.partition_point(|&v| v < lo);
+            let to = core.active.partition_point(|&v| v < hi);
             let mut entries = Vec::with_capacity(to - from);
-            for &v32 in &self.active[from..to] {
+            for &v32 in &core.active[from..to] {
                 let v = v32 as usize;
-                let deg = self.graph.degree(NodeId(v));
-                let base = self.off[v];
+                let slots = &mut core.inbox[core.off[v]..core.off[v + 1]];
                 let mut inbox = Vec::new();
-                for p in 0..deg {
-                    if let Some(f) = self.inbox[base + p].take() {
+                for (p, slot) in slots.iter_mut().enumerate() {
+                    if let Some((f, copies)) = slot.take() {
                         inbox.push(Delivery {
                             port: p as u32,
-                            copies: f.copies,
+                            copies,
                             sender: f.sender,
                             sender_port: f.sender_port,
                             bits: f.bits,
@@ -1503,13 +1299,13 @@ impl Coord<'_> {
                 }
                 entries.push(StartEntry { node: v32, inbox });
             }
-            self.links[s].send(&Ctl::Start { round, entries }, s, round)?;
+            link.send(&Ctl::Start { round, entries }, s, round)?;
         }
         self.sched.clear();
         self.staged.clear();
         self.violation = None;
-        for s in 0..shards {
-            match self.links[s].recv_real(s, round)? {
+        for (s, link) in self.links.iter_mut().enumerate() {
+            match link.recv_real(s, round)? {
                 Ctl::RoundDone { round: r, results } => {
                     if r != round {
                         return Err(SimError::PeerLost {
@@ -1520,23 +1316,14 @@ impl Coord<'_> {
                     }
                     for res in results {
                         if let Some(p) = res.violation {
-                            if self.violation.is_none() {
-                                self.violation = Some((res.node, p));
-                            }
+                            self.violation.get_or_insert((res.node, p));
                         }
-                        for send in res.sends {
-                            self.staged.push((
-                                res.node,
-                                send.port,
-                                CFrame {
-                                    words: send.words,
-                                    bits: send.bits,
-                                    copies: 0,
-                                    sender: res.node,
-                                    sender_port: send.port,
-                                },
-                            ));
-                        }
+                        self.staged.extend(res.sends.into_iter().map(|send| CFrame {
+                            words: send.words,
+                            bits: send.bits,
+                            sender: res.node,
+                            sender_port: send.port,
+                        }));
                         self.sched.push((res.node, res.outcome));
                     }
                 }
@@ -1563,118 +1350,6 @@ impl Coord<'_> {
             }
         }
         Ok(())
-    }
-
-    /// The engine's sequential merge over opaque frames: identical
-    /// accounting, identical trace events, identical fault-injector
-    /// call order.
-    fn merge_staged(&mut self) -> Result<u64, SimError> {
-        let round = self.round;
-        let cut_node = self.violation.map_or(u32::MAX, |(v, _)| v);
-        let staged_total = self.staged.len() as u64;
-        self.round_staged = staged_total;
-        if let Some(t) = self.trace.as_mut() {
-            t.event(&TraceEvent::ShardFlush {
-                round,
-                staged: staged_total,
-                bytes: staged_total * self.staged_bytes,
-            });
-        }
-        let mut round_msgs = 0u64;
-        let epoch = round + 1;
-        for (v32, p32, frame) in self.staged.drain(..) {
-            if v32 >= cut_node {
-                continue;
-            }
-            let (v, p) = (v32 as usize, p32 as usize);
-            let rp = self.rev_port[self.off[v] + p];
-            if rp == usize::MAX {
-                return Err(SimError::BrokenTopology {
-                    node: NodeId(v),
-                    port: Port(p),
-                });
-            }
-            let arc = self.graph.neighbors(NodeId(v))[p];
-            let bits = frame.bits;
-            self.report.messages += 1;
-            self.report.total_bits += bits;
-            self.report.max_message_bits = self.report.max_message_bits.max(bits);
-            round_msgs += 1;
-            let (copies, down) = match self.injector.as_mut() {
-                None => (1, false),
-                Some(inj) => {
-                    let tx = inj.transmit(arc.edge, round);
-                    (tx.copies.len() as u32, tx.down)
-                }
-            };
-            if let Some(t) = self.trace.as_mut() {
-                t.event(&TraceEvent::Send {
-                    round,
-                    sender: v32,
-                    port: p32,
-                    bits,
-                    copies,
-                    link_down: down,
-                });
-            }
-            if copies == 0 {
-                continue;
-            }
-            let to = arc.to.0;
-            let slot = &mut self.pending[self.off[to] + rp];
-            match slot {
-                Some(existing) => existing.copies += copies,
-                None => *slot = Some(CFrame { copies, ..frame }),
-            }
-            self.pending_count += u64::from(copies);
-            if self.recv_mark[to] != epoch {
-                self.recv_mark[to] = epoch;
-                self.receivers.push(to as u32);
-            }
-        }
-        if let Some((v, port)) = self.violation {
-            return Err(SimError::CongestViolation {
-                node: NodeId(v as usize),
-                port: Port(port as usize),
-                round,
-            });
-        }
-        Ok(round_msgs)
-    }
-
-    /// The engine's `apply_schedule` over the wire outcomes.
-    fn apply_schedule(&mut self) {
-        let next = self.round + 1;
-        self.ticking.clear();
-        for &(v32, outcome) in &self.sched {
-            let v = v32 as usize;
-            match outcome {
-                None => {}
-                Some(WireOutcome::Done) => {
-                    if !self.done_flag[v] {
-                        self.done_flag[v] = true;
-                        self.live_undone -= 1;
-                    }
-                    self.timers.cancel(v32);
-                }
-                Some(WireOutcome::Tick | WireOutcome::Sleep | WireOutcome::Park(_)) => {
-                    if self.done_flag[v] {
-                        self.done_flag[v] = false;
-                        self.live_undone += 1;
-                    }
-                    match outcome {
-                        Some(WireOutcome::Tick) => {
-                            self.timers.note(v32, next);
-                            self.ticking.push(v32);
-                        }
-                        Some(WireOutcome::Sleep) => self.timers.cancel(v32),
-                        Some(WireOutcome::Park(r)) => self.timers.park(v32, r),
-                        _ => unreachable!(),
-                    }
-                }
-            }
-        }
-        self.sched.clear();
     }
 }
 
@@ -1722,15 +1397,15 @@ pub fn coordinate(
     // Accept and identify the fleet.
     let mut links = accept_workers(&listener, graph, opts)?;
     let hello = |l: &HelloLink| (l.fixed_mem, l.staged_bytes);
-    let (fixed_mem, staged_bytes) = hello(&links[0]);
+    let memory = hello(&links[0]);
     for (s, l) in links.iter().enumerate().skip(1) {
-        if hello(l) != (fixed_mem, staged_bytes) {
+        if hello(l) != memory {
             return Err(SimError::PeerLost {
                 peer: s as u32,
                 round: 0,
                 detail: format!(
-                    "memory-model disagreement: shard {s} reports ({}, {}), shard 0 ({}, {})",
-                    l.fixed_mem, l.staged_bytes, fixed_mem, staged_bytes
+                    "memory-model disagreement: shard {s} reports ({}, {}), shard 0 {memory:?}",
+                    l.fixed_mem, l.staged_bytes
                 ),
             });
         }
@@ -1748,12 +1423,10 @@ pub fn coordinate(
         }
         done_flag[bounds[s]..bounds[s + 1]].copy_from_slice(&l.done);
     }
-    let live_undone = done_flag.iter().filter(|&&d| !d).count();
 
     // Complete the handshake.
     let welcome = Ctl::Welcome {
         timeout_ms: opts.timeout.as_millis() as u64,
-        full_scan: opts.config.scheduling == Scheduling::FullScan,
     };
     let mut wlinks = Vec::with_capacity(links.len());
     for (s, mut l) in links.drain(..).enumerate() {
@@ -1769,100 +1442,21 @@ pub fn coordinate(
         wlinks.push(l.link);
     }
 
-    // CSR offsets and the flattened reverse-port table, as the engine
-    // builds them.
-    let mut off = Vec::with_capacity(n + 1);
-    off.push(0usize);
-    for v in 0..n {
-        off.push(off[v] + graph.degree(NodeId(v)));
-    }
-    let acc = off[n];
-    let mut rev_port = vec![usize::MAX; acc];
-    for v in 0..n {
-        for (p, arc) in graph.neighbors(NodeId(v)).iter().enumerate() {
-            if let Some(rp) = graph
-                .neighbors(arc.to)
-                .iter()
-                .position(|a| a.edge == arc.edge)
-            {
-                rev_port[off[v] + p] = rp;
-            }
-        }
-    }
-
+    let mut core = RoundCore::new(graph, opts.config, done_flag, injector, memory);
+    core.attach_trace(trace);
     let mut coord = Coord {
-        graph,
-        config: opts.config,
-        off,
-        rev_port,
+        core,
         bounds,
         links: wlinks,
-        inbox: (0..acc).map(|_| None).collect(),
-        pending: (0..acc).map(|_| None).collect(),
-        pending_count: 0,
-        recv_mark: vec![0; n],
-        receivers: Vec::new(),
-        ticking: Vec::new(),
-        timers: TimerHeap::new(n),
-        due: Vec::new(),
-        merged: Vec::new(),
-        active: Vec::new(),
-        done_flag,
-        live_undone,
-        first_step: true,
-        round: 0,
-        report: RunReport {
-            peak_memory_bytes: fixed_mem,
-            ..RunReport::default()
-        },
-        injector,
-        last_activity: 0,
-        trace,
-        fixed_mem,
-        staged_bytes,
-        round_staged: 0,
         sched: Vec::new(),
         staged: Vec::new(),
         violation: None,
     };
-
-    if let Some(t) = coord.trace.as_mut() {
-        t.event(&TraceEvent::RunStart {
-            mode: "sync",
-            nodes: n,
-            edges: graph.edge_count(),
-            bit_budget: coord.config.bit_budget,
-            fixed_mem: Some(coord.fixed_mem),
-        });
-    }
-
-    // The run loop of `Simulator::run`, verbatim.
-    loop {
-        if coord.quiescent() {
-            break;
-        }
-        coord.fast_forward(opts.max_rounds);
-        if coord.quiescent() {
-            break;
-        }
-        if coord.round >= opts.max_rounds {
-            return Err(SimError::RoundLimitExceeded {
-                limit: opts.max_rounds,
-                stall: coord.stall_report(),
-            });
-        }
-        coord.step()?;
-    }
-    if let Some(t) = coord.trace.as_mut() {
-        t.event(&TraceEvent::RunEnd {
-            report: &coord.report,
-        });
-        t.flush();
-    }
+    coord.run_to(u64::MAX, opts.max_rounds, true)?;
 
     // Harvest.
     let mut outputs = Vec::with_capacity(n);
-    let round = coord.round;
+    let round = coord.core.round;
     for s in 0..coord.links.len() {
         coord.links[s].send(&Ctl::Finish, s, round)?;
     }
@@ -1889,7 +1483,7 @@ pub fn coordinate(
         }
     }
     Ok(DistOutcome {
-        report: coord.report,
+        report: coord.core.report,
         outputs,
     })
 }
@@ -2041,10 +1635,7 @@ mod tests {
                 staged_bytes: 24,
                 done: vec![true, false, true],
             },
-            Ctl::Welcome {
-                timeout_ms: 5000,
-                full_scan: true,
-            },
+            Ctl::Welcome { timeout_ms: 5000 },
             Ctl::Start {
                 round: 7,
                 entries: vec![
@@ -2069,7 +1660,7 @@ mod tests {
                 round: 7,
                 results: vec![NodeResult {
                     node: 3,
-                    outcome: Some(WireOutcome::Park(19)),
+                    outcome: NodeOutcome::Park(19),
                     violation: Some(2),
                     sends: vec![SendFrame {
                         port: 0,
@@ -2102,11 +1693,11 @@ mod tests {
     #[test]
     fn node_outcomes_roundtrip() {
         for outcome in [
-            None,
-            Some(WireOutcome::Done),
-            Some(WireOutcome::Tick),
-            Some(WireOutcome::Sleep),
-            Some(WireOutcome::Park(u64::MAX)),
+            NodeOutcome::Done,
+            NodeOutcome::Tick,
+            NodeOutcome::Sleep,
+            NodeOutcome::Park(u64::MAX),
+            NodeOutcome::Crashed,
         ] {
             let res = NodeResult {
                 node: 0,

@@ -735,10 +735,32 @@ impl CodecScratch {
     /// mismatch.
     pub fn check_frame<T: Wire + fmt::Debug>(&mut self, frame: &WireFrame) -> Result<T, String> {
         let decoded = T::from_frame(frame).map_err(|e| format!("decode failed: {e}"))?;
+        self.canonical(decoded, &frame.words, frame.bits)
+    }
+
+    /// [`CodecScratch::check_frame`] over raw frame words as they came
+    /// off a socket (see [`decode_from`]) — the socket worker's check on
+    /// both the frames it receives and the frames it sends.
+    pub(crate) fn check_words<T: Wire + fmt::Debug>(
+        &mut self,
+        words: &[u64],
+        bits: u64,
+    ) -> Result<T, String> {
+        let decoded = decode_from::<T>(words, bits).map_err(|e| format!("decode failed: {e}"))?;
+        self.canonical(decoded, words, bits)
+    }
+
+    /// Verifies that `decoded` re-encodes to exactly `words`/`bits`.
+    fn canonical<T: Wire + fmt::Debug>(
+        &mut self,
+        decoded: T,
+        words: &[u64],
+        bits: u64,
+    ) -> Result<T, String> {
         let mut w = BitWriter::reuse(std::mem::take(&mut self.renc));
         decoded.encode(&mut w);
         let (renc, rbits) = w.into_raw();
-        let identical = rbits == frame.bits && renc == frame.words;
+        let identical = rbits == bits && renc == words;
         self.renc = renc;
         if identical {
             Ok(decoded)

@@ -28,42 +28,9 @@ use kdom::congest::transport::{
 };
 use kdom::congest::{EngineConfig, JsonlSink, SimError, TraceSink};
 use kdom::core::dist::fragments::{schedule_end, FragmentNode};
-use kdom::graph::generators::Family;
 use kdom::graph::Graph;
 use kdom::mst::fastmst::default_k;
-
-/// A `--graph FAMILY:N:SEED` spec.
-struct GraphSpec {
-    family: Family,
-    n: usize,
-    seed: u64,
-}
-
-impl GraphSpec {
-    fn parse(s: &str) -> Result<Self, String> {
-        let parts: Vec<&str> = s.split(':').collect();
-        let [family, n, seed] = parts.as_slice() else {
-            return Err(format!("graph spec {s:?} is not FAMILY:N:SEED"));
-        };
-        let family = match *family {
-            "grid" => Family::Grid,
-            "path" => Family::Path,
-            "star" => Family::Star,
-            "btree" => Family::BalancedBinary,
-            "rtree" => Family::RandomTree,
-            "caterpillar" => Family::Caterpillar,
-            "gnp" => Family::Gnp,
-            other => return Err(format!("unknown graph family {other:?}")),
-        };
-        let n = n.parse().map_err(|e| format!("bad node count: {e}"))?;
-        let seed = seed.parse().map_err(|e| format!("bad seed: {e}"))?;
-        Ok(GraphSpec { family, n, seed })
-    }
-
-    fn build(&self) -> Graph {
-        self.family.generate(self.n, self.seed)
-    }
-}
+use kdom::serve::parse_graph_spec;
 
 /// A `--proto` spec. Only `simple-mst[:K]` exists today; the enum keeps
 /// the dispatch explicit for when more stages ride the transport.
@@ -150,7 +117,7 @@ fn sim_exit(e: &SimError) -> ExitCode {
 }
 
 fn worker(args: &Args) -> Result<ExitCode, String> {
-    let graph = GraphSpec::parse(args.require("graph")?)?.build();
+    let graph = parse_graph_spec(args.require("graph")?)?;
     let proto = ProtoSpec::parse(args.require("proto")?)?;
     let k = proto.k_for(&graph);
     let connect: Endpoint = args.require("connect")?.parse()?;
@@ -234,7 +201,7 @@ fn report_outcome(
 }
 
 fn coord(args: &Args) -> Result<ExitCode, String> {
-    let graph = GraphSpec::parse(args.require("graph")?)?.build();
+    let graph = parse_graph_spec(args.require("graph")?)?;
     let proto = ProtoSpec::parse(args.require("proto")?)?;
     let k = proto.k_for(&graph);
     let opts = coord_opts(args, &graph, k)?;
@@ -249,7 +216,7 @@ fn coord(args: &Args) -> Result<ExitCode, String> {
 fn run(args: &Args) -> Result<ExitCode, String> {
     let graph_spec = args.require("graph")?;
     let proto_spec = args.require("proto")?;
-    let graph = GraphSpec::parse(graph_spec)?.build();
+    let graph = parse_graph_spec(graph_spec)?;
     let proto = ProtoSpec::parse(proto_spec)?;
     let k = proto.k_for(&graph);
     let opts = coord_opts(args, &graph, k)?;

@@ -40,7 +40,7 @@ use std::time::Duration;
 use kdom_congest::transport::{frame_to_bytes, read_frame, Conn, CoordListener, Endpoint};
 use kdom_congest::{
     Algo, CacheStats, ExecSpec, FaultPlan, JobHandle, JobPool, JobStatus, PoolStats, RunReport,
-    RunSpec, Scheduling, SweepSpec,
+    RunSpec, SweepSpec, MAX_ENGINE_NODES,
 };
 use kdom_graph::generators::Family;
 use kdom_graph::graph::EdgeRef;
@@ -122,18 +122,13 @@ pub fn spec_to_tokens(spec: &RunSpec) -> Result<String, String> {
         ExecSpec::Sync => "sync".to_string(),
         ExecSpec::ReliableAlpha { max_delay } => format!("alpha:{max_delay}"),
     };
-    let sched = match spec.scheduling {
-        Scheduling::FullScan => "full-scan",
-        Scheduling::ActiveSet => "active-set",
-    };
     Ok(format!(
-        "algo={} k={} seed={} threads={} sched={} ff={} dense={} shard={} wire={} exec={} \
+        "algo={} k={} seed={} threads={} ff={} dense={} shard={} wire={} exec={} \
          trace={} fseed={} fdrop={:016x} fdup={:016x} fdelay={}",
         spec.algo.label(),
         spec.k,
         spec.seed,
         spec.threads,
-        sched,
         u8::from(spec.fast_forward),
         spec.dense_pct,
         spec.shard_min,
@@ -186,13 +181,6 @@ pub fn spec_from_tokens<'a>(tokens: impl Iterator<Item = &'a str>) -> Result<Run
             "k" => spec.k = parse_num(key, v)?,
             "seed" => spec.seed = parse_num(key, v)?,
             "threads" => spec.threads = parse_num::<usize>(key, v)?.max(1),
-            "sched" => {
-                spec.scheduling = match v {
-                    "full-scan" => Scheduling::FullScan,
-                    "active-set" => Scheduling::ActiveSet,
-                    _ => return Err(format!("sched={v:?} is not full-scan or active-set")),
-                }
-            }
             "ff" => spec.fast_forward = parse_bool(key, v)?,
             "dense" => spec.dense_pct = parse_num(key, v)?,
             "shard" => spec.shard_min = parse_num(key, v)?,
@@ -263,13 +251,16 @@ fn report_from_tokens<'a>(tokens: impl Iterator<Item = &'a str>) -> Result<RunRe
     Ok(r)
 }
 
-/// Builds a graph from the `FAMILY:N:SEED` dialect the `kdom-shard`
-/// launcher introduced (`grid:2500:42`, `gnp:500:7`, …).
+/// Builds a graph from the `FAMILY:N:SEED` dialect shared by
+/// `kdom-serve` and the `kdom-shard` launcher (`grid:2500:42`,
+/// `gnp:500:7`, …).
 ///
 /// # Errors
 ///
-/// Names the malformed component (unknown family, bad node count or
-/// seed).
+/// Names the malformed component: an unknown family, a bad seed, or a
+/// node count that does not parse or lies outside
+/// `1..=`[`MAX_ENGINE_NODES`] — checked before any generator runs, so
+/// a hostile spec is refused rather than panicking or allocating.
 pub fn parse_graph_spec(s: &str) -> Result<Graph, String> {
     let parts: Vec<&str> = s.split(':').collect();
     let [family, n, seed] = parts.as_slice() else {
@@ -285,7 +276,10 @@ pub fn parse_graph_spec(s: &str) -> Result<Graph, String> {
         "gnp" => Family::Gnp,
         other => return Err(format!("unknown graph family {other:?}")),
     };
-    let n = n.parse().map_err(|e| format!("bad node count: {e}"))?;
+    let n: usize = n.parse().map_err(|e| format!("bad node count: {e}"))?;
+    if !(1..=MAX_ENGINE_NODES).contains(&n) {
+        return Err(format!("node count {n} is outside 1..={MAX_ENGINE_NODES}"));
+    }
     let seed = seed.parse().map_err(|e| format!("bad seed: {e}"))?;
     Ok(family.generate(n, seed))
 }
@@ -1013,7 +1007,6 @@ mod tests {
             .with_k(7)
             .with_seed(42)
             .with_threads(3)
-            .with_scheduling(Scheduling::FullScan)
             .with_wire_exact(true)
             .with_exec(ExecSpec::ReliableAlpha { max_delay: 9 })
             .with_faults(FaultPlan::new(5).drop_prob(0.125))
@@ -1041,6 +1034,36 @@ mod tests {
         let err = spec_from_tokens(["algo=bfs", "kay=3"].into_iter())
             .expect_err("typos must not silently default");
         assert!(err.contains("kay"), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_graph_specs_are_err_replies() {
+        let (ep, server) = test_server();
+        let mut client = Client::connect(&ep).expect("connect");
+        let families = [
+            "grid",
+            "path",
+            "star",
+            "btree",
+            "rtree",
+            "caterpillar",
+            "gnp",
+        ];
+        let too_big = MAX_ENGINE_NODES + 1;
+        for family in families {
+            for n in [0, too_big] {
+                let err = client
+                    .graph_spec(&format!("{family}:{n}:1"))
+                    .expect_err("out-of-range node count");
+                assert!(err.to_string().contains("node count"), "{family}: {err}");
+                client.ping().expect("connection survives an ERR");
+            }
+            client
+                .graph_spec(&format!("{family}:1:1"))
+                .expect("one node is a graph");
+        }
+        client.shutdown().expect("shutdown");
+        server.join().expect("server thread").expect("clean exit");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use kdom::congest::{Algo, CacheKey, ExecSpec, JobPool, JobStatus, RunSpec, Scheduling};
+use kdom::congest::{Algo, CacheKey, ExecSpec, JobPool, JobStatus, RunSpec};
 use kdom::graph::generators::Family;
 use kdom::graph::{GraphBuilder, NodeId};
 use kdom::mst::service;
@@ -21,8 +21,18 @@ fn specs_differing_in_one_field_key_differently() {
         ("threads", base.clone().with_threads(base.threads + 1)),
         ("algorithm", base.clone().with_algo(Algo::Bfs)),
         (
-            "scheduling",
-            base.clone().with_scheduling(Scheduling::FullScan),
+            "dense threshold",
+            RunSpec {
+                dense_pct: 0,
+                ..base.clone()
+            },
+        ),
+        (
+            "fast-forward",
+            RunSpec {
+                fast_forward: false,
+                ..base.clone()
+            },
         ),
         ("trace", base.clone().with_trace(true)),
         (

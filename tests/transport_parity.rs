@@ -1,7 +1,8 @@
 //! Socket-transport parity: a Fast-MST fragment stage executed across
 //! separate OS processes must be **byte-identical** to the in-process
 //! engine — same [`RunReport`], same per-send JSONL trace, same
-//! harvested outputs — for both 2-worker and 4-worker fleets. Killing a
+//! harvested outputs — for both 2-worker and 4-worker fleets, and for a
+//! 2-worker fleet under coordinator-side drops and duplicates. Killing a
 //! worker mid-run must surface as a typed [`SimError::PeerLost`] within
 //! the heartbeat deadline, and a worker whose graph disagrees must be
 //! rejected in the handshake.
@@ -10,7 +11,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use kdom::congest::transport::{coordinate, CoordListener, CoordOpts, Endpoint};
-use kdom::congest::{trace, EngineConfig, MemorySink, RunReport, SimError, Simulator};
+use kdom::congest::{trace, EngineConfig, FaultPlan, MemorySink, RunReport, SimError, Simulator};
 use kdom::core::dist::fragments::{schedule_end, FragmentNode};
 use kdom::graph::generators::Family;
 use kdom::graph::Graph;
@@ -91,6 +92,21 @@ fn distributed_run(
     Result<kdom::congest::transport::DistOutcome, SimError>,
     String,
 ) {
+    distributed_run_with(spec, shards, max_rounds, timeout, extra_for_shard0, None)
+}
+
+/// [`distributed_run`] with a fault plan on the coordinator.
+fn distributed_run_with(
+    spec: &str,
+    shards: usize,
+    max_rounds: u64,
+    timeout: Duration,
+    extra_for_shard0: &[&str],
+    plan: Option<FaultPlan>,
+) -> (
+    Result<kdom::congest::transport::DistOutcome, SimError>,
+    String,
+) {
     let g = graph_of(spec);
     let listener = CoordListener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).expect("bind");
     let ep = listener.local_endpoint().expect("local endpoint");
@@ -104,7 +120,7 @@ fn distributed_run(
     let opts = CoordOpts {
         shards,
         config: EngineConfig::default(),
-        plan: None,
+        plan,
         max_rounds,
         timeout,
     };
@@ -168,6 +184,52 @@ fn two_process_run_is_byte_identical_to_in_process() {
 #[test]
 fn four_process_run_is_byte_identical_to_in_process() {
     assert_parity(4);
+}
+
+/// The coordinator's fault injector draws in the same sequential
+/// `(sender, port)` order as the in-process engine's merge, so a lossy,
+/// duplicating run ends the same way on both — the same report and
+/// outputs, or the same typed error with the same stall report — and
+/// leaves the same trace, `send` events with their copy counts included.
+#[test]
+fn two_process_run_under_drops_and_duplicates_matches_in_process() {
+    let g = graph_of(SMALL_SPEC);
+    let k = default_k(g.node_count());
+    let max_rounds = schedule_end(k) + 8;
+    let plan = FaultPlan::new(11).drop_prob(0.05).dup_prob(0.05);
+    let nodes: Vec<FragmentNode> = (0..g.node_count())
+        .map(|v| FragmentNode::new(k, g.id_of(kdom::graph::NodeId(v))))
+        .collect();
+    let mut sim = Simulator::with_faults_config(&g, nodes, &plan, EngineConfig::default());
+    let sink = MemorySink::new();
+    sim.set_trace(Box::new(sink.clone()));
+    let want = sim
+        .run(max_rounds)
+        .map(|report| (report, sim.nodes().iter().map(harvest).collect::<Vec<_>>()));
+    let want_trace = sink.to_jsonl();
+    assert!(
+        want_trace.contains("\"copies\":0") && want_trace.contains("\"copies\":2"),
+        "the plan must both drop and duplicate"
+    );
+
+    let (got, got_trace) = distributed_run_with(
+        SMALL_SPEC,
+        2,
+        max_rounds,
+        Duration::from_secs(60),
+        &[],
+        Some(plan),
+    );
+    let got = got.map(|outcome| (outcome.report, outcome.outputs));
+    assert_eq!(
+        format!("{got:?}"),
+        format!("{want:?}"),
+        "the faulted 2-worker run ended differently from the in-process engine"
+    );
+    assert!(
+        got_trace == want_trace,
+        "the faulted 2-worker trace diverged"
+    );
 }
 
 #[test]
